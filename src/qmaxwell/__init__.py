@@ -33,6 +33,7 @@ from .functionals import (
     entropy_lower_bound_ratio,
     free_energy,
     gateaux_entropy_derivative,
+    gibbs_from_potential,
     log_sobolev_gap,
     penalized_free_energy,
     validate_lieb,
@@ -69,7 +70,6 @@ from .spectral_core import (
     density_of,
     energy_trace,
     entropy_trace,
-    gibbs_from_potential,
     hs_norm,
     kernel_eval,
     matrix_entropy_function,

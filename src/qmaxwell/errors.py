@@ -22,11 +22,12 @@ class SingularDensityOperator(QMaxwellError):
 
 
 class SolverError(QMaxwellError):
-    """Base class for solver failures; carries the partial report."""
+    """Base class for solver failures; carries the last iterate's report and potential."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, potential=None):
         super().__init__(message)
         self.report = report
+        self.potential = potential
 
 
 class MaxIterExceeded(SolverError):
@@ -40,8 +41,8 @@ class BasisTooSmall(SolverError):
     target density falls below the requested tolerance.
     """
 
-    def __init__(self, message, suggested_modes, report=None):
-        super().__init__(message, report)
+    def __init__(self, message, suggested_modes, report=None, potential=None):
+        super().__init__(message, report, potential)
         self.suggested_modes = suggested_modes
 
 

@@ -10,6 +10,9 @@ and the concave dual of the density-constrained minimization is
     J(A) = -Tr exp(-(H+A)) - integral of A n dx,
 
 whose gradient in A is exactly the constraint residual n[exp(-(H+A))] - n.
+
+Gibbs states exp(-(H+A)) are evaluated in one place, :class:`GibbsState`,
+which the dual, its derivatives, gibbs_from_potential and the solver share.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch
 from .spectral_core import (
     ChemicalPotential,
     DensityOperator,
     DensityProfile,
     SpectralBasis,
+    _check_same_basis,
     _checked_clamped_spectrum,
+    _multiplication_matrix,
     assemble_hamiltonian_plus_potential,
     density_of,
     energy_trace,
@@ -35,6 +39,8 @@ from .spectral_core import (
 __all__ = [
     "FunctionalValue",
     "InequalityReport",
+    "GibbsState",
+    "gibbs_from_potential",
     "free_energy",
     "penalized_free_energy",
     "dual_functional",
@@ -51,6 +57,7 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-8
+EXP_OVERFLOW_LIMIT = -float(np.log(np.finfo(float).max))  # exp(-lam) is inf below
 
 
 @dataclass(frozen=True)
@@ -90,38 +97,67 @@ def penalized_free_energy(rho: DensityOperator, n: DensityProfile,
     """F with beta_eta entropy plus the penalty (1/2 eps) ||n[rho] - n||_L2^2."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
-    _same_basis(rho.basis, n.basis)
+    _check_same_basis(rho.basis, n.basis)
     diff = density_of(rho) - n.values
     penalty = 0.5 / epsilon * rho.basis.quadrature(diff * diff)
     return _functional_value(entropy_trace(rho, eta), energy_trace(rho), penalty)
 
 
-def _same_basis(a: SpectralBasis, b: SpectralBasis):
-    if a is not b and (a.M != b.M or a.N != b.N):
-        raise BasisMismatch(f"bases differ: (M={a.M}, N={a.N}) vs (M={b.M}, N={b.N})")
+class GibbsState:
+    """exp(-(H+A)) through the eigenpairs (lam, V) of H + A: ``weights`` =
+    exp(-lam), eigenfunctions ``phi`` = V^T E on the grid, ``density``.
+
+    Given a target n, also ``residual`` = n[rho] - n (the gradient of J),
+    ``residual_l2``, ``grad_coeffs`` and ``objective`` = J(A).  Overflowing
+    weights stay inf, so a line search reads J = -inf and rejects the trial.
+    """
+
+    def __init__(self, A: ChemicalPotential, n: DensityProfile | None = None):
+        basis = A.basis
+        self.potential = A
+        self.lam, self.V = np.linalg.eigh(assemble_hamiltonian_plus_potential(basis, A))
+        self.weights = np.exp(-self.lam)
+        self.phi = self.V.T @ basis.functions
+        self.density = self.weights @ (self.phi * self.phi)
+        if n is None:
+            return
+        _check_same_basis(basis, n.basis)
+        self.residual = self.density - n.values
+        self.residual_l2 = float(np.sqrt(basis.quadrature(self.residual**2)))
+        self.grad_coeffs = basis.project(self.residual)
+        coupling = basis.quadrature(A.on_grid() * n.values)
+        self.objective = float(-np.sum(self.weights) - coupling)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Coefficient matrix V diag(weights) V^T, symmetrized."""
+        m = (self.V * self.weights) @ self.V.T
+        return 0.5 * (m + m.T)
+
+    def operator_density(self, X) -> np.ndarray:
+        """Grid density of the operator V X V^T, X given in the eigenbasis."""
+        return np.sum(self.phi * (X @ self.phi), axis=0)
 
 
-def _potential_spectrum(A: ChemicalPotential):
-    K = assemble_hamiltonian_plus_potential(A.basis, A)
-    lam, V = np.linalg.eigh(K)
-    return lam, V
+def gibbs_from_potential(basis: SpectralBasis, A: ChemicalPotential) -> DensityOperator:
+    """rho = exp(-(H+A)); ValueError when exp(-lam) overflows (lam < -709.78)."""
+    _check_same_basis(basis, A.basis)
+    state = GibbsState(A)
+    if not np.all(np.isfinite(state.weights)):
+        raise ValueError(
+            f"exp(-(H+A)) would overflow: the smallest eigenvalue of H+A is "
+            f"{state.lam[0]:.6g}, below the overflow limit {EXP_OVERFLOW_LIMIT:.6g}")
+    return DensityOperator(basis, state.matrix)
 
 
 def dual_functional(A: ChemicalPotential, n: DensityProfile) -> float:
     """J(A) = -Tr exp(-(H+A)) - integral of A n dx; concave in A."""
-    _same_basis(A.basis, n.basis)
-    lam, _ = _potential_spectrum(A)
-    coupling = A.basis.quadrature(A.on_grid() * n.values)
-    return float(-np.sum(np.exp(-lam)) - coupling)
+    return GibbsState(A, n).objective
 
 
 def dual_gradient(A: ChemicalPotential, n: DensityProfile) -> np.ndarray:
     """Gradient of J as a grid function: n[exp(-(H+A))] - n."""
-    _same_basis(A.basis, n.basis)
-    lam, V = _potential_spectrum(A)
-    rho = (V * np.exp(-lam)) @ V.T
-    E = A.basis.functions
-    return np.einsum("pj,pj->j", E, rho @ E) - n.values
+    return GibbsState(A, n).residual
 
 
 def _exp_divided_differences(lam):
@@ -140,26 +176,18 @@ def _exp_divided_differences(lam):
     return phi
 
 
-def _galerkin_multiplication(basis: SpectralBasis, grid_values) -> np.ndarray:
-    E = basis.functions
-    G = (E * grid_values) @ E.T / basis.N
-    return 0.5 * (G + G.T)
-
-
 def dual_hessian_apply(A: ChemicalPotential, delta: ChemicalPotential) -> np.ndarray:
     """Directional derivative of A |-> n[exp(-(H+A))] along delta, on the grid.
 
-    With H+A = V diag(lam) V^T and E the Galerkin matrix of delta, the
-    operator response is -V (Phi o V^T E V) V^T where Phi carries the
+    With H+A = V diag(lam) V^T and G the Galerkin matrix of delta, the
+    operator response is -V (Phi o V^T G V) V^T where Phi carries the
     divided differences of exp(-s); the returned value is its density.
     """
-    _same_basis(A.basis, delta.basis)
-    lam, V = _potential_spectrum(A)
-    G = _galerkin_multiplication(A.basis, delta.on_grid())
-    phi = _exp_divided_differences(lam)
-    drho = -V @ (phi * (V.T @ G @ V)) @ V.T
-    E = A.basis.functions
-    return np.einsum("pj,pj->j", E, drho @ E)
+    _check_same_basis(A.basis, delta.basis)
+    state = GibbsState(A)
+    G = _multiplication_matrix(A.basis, delta.on_grid())
+    X = -_exp_divided_differences(state.lam) * (state.V.T @ G @ state.V)
+    return state.operator_density(X)
 
 
 def _hessian_from_spectrum(basis: SpectralBasis, lam, V) -> np.ndarray:
@@ -175,8 +203,8 @@ def _hessian_from_spectrum(basis: SpectralBasis, lam, V) -> np.ndarray:
 
 def dual_hessian_matrix(A: ChemicalPotential) -> np.ndarray:
     """D x D matrix of second derivatives of J in basis coefficients."""
-    lam, V = _potential_spectrum(A)
-    return _hessian_from_spectrum(A.basis, lam, V)
+    state = GibbsState(A)
+    return _hessian_from_spectrum(A.basis, state.lam, state.V)
 
 
 def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float:
@@ -259,7 +287,7 @@ def convexity_probe(rho1: DensityOperator, rho2: DensityOperator,
                     t: float) -> InequalityReport:
     """Entropy convexity along the segment; gap = rhs - lhs >= 0, with
     ``strict`` set when the operators are distinguishable and the gap is."""
-    _same_basis(rho1.basis, rho2.basis)
+    _check_same_basis(rho1.basis, rho2.basis)
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly inside (0, 1)")
     mix = DensityOperator(rho1.basis, t * rho1.matrix + (1.0 - t) * rho2.matrix)
@@ -275,7 +303,7 @@ def eigenvalue_perturbation_check(rho1: DensityOperator,
                                   rho2: DensityOperator) -> InequalityReport:
     """Weyl-type bound: eigenvalue sup-distance is at most the J1 distance.
     gap = rhs - lhs >= 0."""
-    _same_basis(rho1.basis, rho2.basis)
+    _check_same_basis(rho1.basis, rho2.basis)
     lhs = float(np.max(np.abs(_descending_spectrum(rho1) - _descending_spectrum(rho2))))
     rhs = trace_norm(rho1.matrix - rho2.matrix)
     return InequalityReport(name="eigenvalue_perturbation", lhs=lhs, rhs=rhs,

@@ -45,7 +45,6 @@ from .spectral_core import (
     SpectralBasis,
     build_basis,
     density_of,
-    gibbs_from_potential,
     sobolev_norm,
 )
 
@@ -313,7 +312,6 @@ def _build_parser():
     def common(p):
         p.add_argument("--modes", type=int, required=True, metavar="M")
         p.add_argument("--grid", type=int, default=None, metavar="N")
-        p.add_argument("--seed", type=int, default=0, metavar="U64")
 
     p_fwd = sub.add_parser("forward", help="density of exp(-(H+A))")
     common(p_fwd)
@@ -334,6 +332,7 @@ def _build_parser():
     common(p_verify)
     p_verify.add_argument("--density", required=True)
     p_verify.add_argument("--samples", type=int, default=200)
+    p_verify.add_argument("--seed", type=int, default=0, metavar="U64")
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--out", required=True)
 
@@ -367,7 +366,7 @@ def _basis_for(args) -> SpectralBasis:
 def _cmd_forward(args) -> int:
     basis = _basis_for(args)
     A = parse_potential(args.potential, basis)
-    n = density_of(gibbs_from_potential(basis, A))
+    n = density_of(fn.gibbs_from_potential(basis, A))
     write_density_csv(args.out, basis, n)
     return EXIT_OK
 
@@ -379,22 +378,17 @@ def _cmd_solve(args) -> int:
                          max_iter=args.max_iter)
     try:
         A, rho, report = solve_maxwellian(n, opts)
+        achieved, code = density_of(rho), EXIT_OK
     except MaxIterExceeded as exc:
         log.error("%s", exc)
-        if exc.report is not None:
-            coeffs = ChemicalPotential.constant(basis, 0.0)
-            payload = build_report_dict(basis, opts, exc.report, coeffs,
-                                        np.zeros(basis.N))
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(serialize_report(payload))
-        return EXIT_MAXITER
-    achieved = density_of(rho)
+        A, report, code = exc.potential, exc.report, EXIT_MAXITER
+        achieved = fn.GibbsState(A).density
     payload = build_report_dict(basis, opts, report, A, achieved)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_report(payload))
     if args.density_out:
         write_density_csv(args.density_out, basis, achieved)
-    return EXIT_OK
+    return code
 
 
 def _cmd_verify(args) -> int:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import BasisTooSmall, MaxIterExceeded, SingularDensityOperator
 from .functionals import (
+    GibbsState,
     _hessian_from_spectrum,
-    dual_functional,
     free_energy,
     penalized_free_energy,
 )
@@ -108,26 +108,9 @@ def _xlogx(lam):
     return out
 
 
-class _DualState:
-    """One evaluation of the dual objective at coefficient vector ``a``."""
-
-    __slots__ = ("a", "lam", "V", "rho", "density", "residual", "residual_l2",
-                 "grad_coeffs", "objective")
-
-    def __init__(self, basis: SpectralBasis, n: DensityProfile, a):
-        self.a = np.asarray(a, dtype=float)
-        A = ChemicalPotential(basis, self.a)
-        K = assemble_hamiltonian_plus_potential(basis, A)
-        self.lam, self.V = np.linalg.eigh(K)
-        w = np.exp(-self.lam)
-        self.rho = (self.V * w) @ self.V.T
-        E = basis.functions
-        self.density = np.einsum("pj,pj->j", E, self.rho @ E)
-        self.residual = self.density - n.values
-        self.residual_l2 = float(np.sqrt(basis.quadrature(self.residual**2)))
-        self.grad_coeffs = basis.project(self.residual)
-        coupling = basis.quadrature(basis.synthesize(self.a) * n.values)
-        self.objective = float(-np.sum(w) - coupling)
+def _evaluate(n: DensityProfile, a) -> GibbsState:
+    """The Gibbs state of coefficient vector ``a``, evaluated against ``n``."""
+    return GibbsState(ChemicalPotential(n.basis, np.asarray(a, dtype=float)), n)
 
 
 def _initial_coefficients(basis: SpectralBasis, n: DensityProfile):
@@ -173,7 +156,7 @@ def _ascent_direction(basis, state, opts, method):
 def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
     basis = n.basis
     a = _initial_coefficients(basis, n) if a0 is None else np.asarray(a0, dtype=float)
-    state = _DualState(basis, n, a)
+    state = _evaluate(n, a)
     history = []
     # stall detection watches the projected residual, the part the dual
     # variables control; the full residual legitimately lags behind it
@@ -190,18 +173,20 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
                     f"residual stalled at {state.residual_l2:.3e} while the density "
                     f"carries {tail:.3e} beyond wavenumber {basis.M}; "
                     f"retry with at least M = {_suggest_modes(n, opts.tol_l2)}",
-                    suggested_modes=_suggest_modes(n, opts.tol_l2))
+                    suggested_modes=_suggest_modes(n, opts.tol_l2),
+                    report=_constrained_report(state, history)[1],
+                    potential=state.potential)
         d, slope = _ascent_direction(basis, state, opts, method)
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
         alpha = 1.0
-        trial = _DualState(basis, n, state.a + d)
+        trial = _evaluate(n, state.potential.coefficients + d)
         while trial.objective < state.objective + opts.armijo_c * alpha * slope - fp_slack:
             alpha *= opts.armijo_shrink
             if alpha < 1e-14:
                 break
-            trial = _DualState(basis, n, state.a + alpha * d)
+            trial = _evaluate(n, state.potential.coefficients + alpha * d)
         state = trial
         recent.append(float(np.linalg.norm(state.grad_coeffs)))
         history.append(HistoryEntry(residual=state.residual_l2, step_size=alpha,
@@ -213,14 +198,14 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
     raise MaxIterExceeded(
         f"residual {state.residual_l2:.3e} above tolerance {opts.tol_l2:.1e} "
         f"after {opts.max_iter} iterations",
-        report=_constrained_report(n, state, history))
+        report=_constrained_report(state, history)[1], potential=state.potential)
 
 
 def _refine_once(basis, n, state, opts, method):
     """One extra full Newton step once inside tolerance; the quadratic tail
     usually lands orders of magnitude below tol and sharpens the recovered A."""
     d, _ = _ascent_direction(basis, state, opts, method)
-    trial = _DualState(basis, n, state.a + d)
+    trial = _evaluate(n, state.potential.coefficients + d)
     if trial.residual_l2 < state.residual_l2:
         entry = HistoryEntry(residual=trial.residual_l2, step_size=1.0,
                              objective=trial.objective)
@@ -228,22 +213,24 @@ def _refine_once(basis, n, state, opts, method):
     return state, []
 
 
-def _constrained_report(n: DensityProfile, state: _DualState, history):
-    basis = n.basis
-    rho = DensityOperator(basis, 0.5 * (state.rho + state.rho.T))
-    A = ChemicalPotential(basis, state.a)
-    f_total = free_energy(rho).total
-    j_value = state.objective
+def _report(state: GibbsState, rho: DensityOperator, f_value, j_value, history):
+    """Report of the iterate ``state`` with primal/dual objective pair (F, J)."""
     return SolveReport(
         iterations=len(history),
         residual_l2=state.residual_l2,
         residual_hminus1=sobolev_norm(state.residual, -1),
-        free_energy=f_total,
+        free_energy=f_value,
         dual_value=j_value,
-        duality_gap=f_total - j_value,
-        el_residual=euler_lagrange_residual(rho, A),
+        duality_gap=f_value - j_value,
+        el_residual=euler_lagrange_residual(rho, state.potential),
         history=history,
     )
+
+
+def _constrained_report(state: GibbsState, history):
+    """(rho, report) of the iterate ``state``."""
+    rho = DensityOperator(state.potential.basis, state.matrix)
+    return rho, _report(state, rho, free_energy(rho).total, state.objective, history)
 
 
 def solve_maxwellian(n: DensityProfile, opts: SolverOptions | None = None):
@@ -251,11 +238,10 @@ def solve_maxwellian(n: DensityProfile, opts: SolverOptions | None = None):
 
     The additive constant in A is pinned by the mass of n (it rescales the
     trace), so the solution is unique and no gauge projection is applied.
-    Raises NonPositiveDensity (at profile construction), MaxIterExceeded,
-    or BasisTooSmall.
+    Raises NonPositiveDensity (at profile construction), or MaxIterExceeded
+    or BasisTooSmall carrying the last iterate's report and potential.
     """
     opts = opts or SolverOptions()
-    basis = n.basis
     a0 = None
     if opts.method == "penalized_path":
         warm = None
@@ -265,9 +251,8 @@ def solve_maxwellian(n: DensityProfile, opts: SolverOptions | None = None):
         a0 = warm
     method = "dual_newton" if opts.method == "penalized_path" else opts.method
     state, history = _dual_ascent(n, opts, method, a0=a0)
-    rho = DensityOperator(basis, 0.5 * (state.rho + state.rho.T))
-    A = ChemicalPotential(basis, state.a)
-    return A, rho, _constrained_report(n, state, history)
+    rho, report = _constrained_report(state, history)
+    return state.potential, rho, report
 
 
 def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
@@ -291,13 +276,13 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
     opts = opts or SolverOptions()
     basis = n.basis
     a = np.zeros(basis.D) if initial is None else np.asarray(initial, dtype=float)
-    state = _DualState(basis, n, a)
+    state = _evaluate(n, a)
     history = []
 
     def defect(st):
         # L2 norm of A - (1/eps)(n[rho_A] - n) on the grid
         return float(np.sqrt(basis.quadrature(
-            (basis.synthesize(st.a) - st.residual / epsilon) ** 2)))
+            (st.potential.on_grid() - st.residual / epsilon) ** 2)))
 
     current = defect(state)
     # damped fixed-point phase, only useful from a cold start at moderate eps
@@ -305,7 +290,8 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
         for _ in range(12):
             if current <= max(1e-2, opts.tol_l2):
                 break
-            trial = _DualState(basis, n, 0.5 * state.a + 0.5 * state.grad_coeffs / epsilon)
+            trial = _evaluate(n, 0.5 * (state.potential.coefficients
+                                        + state.grad_coeffs / epsilon))
             d_trial = defect(trial)
             history.append(HistoryEntry(residual=trial.residual_l2, step_size=0.5,
                                         objective=-d_trial))
@@ -315,47 +301,33 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
     for _ in range(opts.max_iter):
         if current <= opts.tol_l2:
             break
-        res_coeffs = epsilon * state.a - state.grad_coeffs
+        a = state.potential.coefficients
+        res_coeffs = epsilon * a - state.grad_coeffs
         S = -_hessian_from_spectrum(basis, state.lam, state.V)
         jac = epsilon * np.eye(basis.D) + S
         d = np.linalg.solve(jac, -res_coeffs)
         alpha = 1.0
-        trial = _DualState(basis, n, state.a + d)
+        trial = _evaluate(n, a + d)
         d_trial = defect(trial)
         while d_trial > current and alpha > 1e-14:
             alpha *= opts.armijo_shrink
-            trial = _DualState(basis, n, state.a + alpha * d)
+            trial = _evaluate(n, a + alpha * d)
             d_trial = defect(trial)
         history.append(HistoryEntry(residual=trial.residual_l2, step_size=alpha,
                                     objective=-d_trial))
         if d_trial >= current and current <= 10.0 * opts.tol_l2:
             break  # rounding floor of the self-consistency defect
         state, current = trial, d_trial
-    rho = DensityOperator(basis, 0.5 * (state.rho + state.rho.T))
-    A = ChemicalPotential(basis, state.a)
-    report = _penalized_report(n, state, A, rho, epsilon, eta, history)
+    rho = DensityOperator(basis, state.matrix)
+    a_l2_sq = basis.quadrature(state.potential.on_grid() ** 2)
+    report = _report(state, rho, penalized_free_energy(rho, n, epsilon, eta).total,
+                     state.objective - 0.5 * epsilon * a_l2_sq, history)
     if current > 10.0 * opts.tol_l2:
         raise MaxIterExceeded(
             f"penalized fixed-point defect {current:.3e} above tolerance "
-            f"{opts.tol_l2:.1e} at epsilon={epsilon:g}", report=report)
-    return rho, A, report
-
-
-def _penalized_report(n, state, A, rho, epsilon, eta, history):
-    basis = n.basis
-    f_eps = penalized_free_energy(rho, n, epsilon, eta).total
-    a_l2_sq = basis.quadrature(basis.synthesize(state.a) ** 2)
-    j_eps = state.objective - 0.5 * epsilon * a_l2_sq
-    return SolveReport(
-        iterations=len(history),
-        residual_l2=state.residual_l2,
-        residual_hminus1=sobolev_norm(state.residual, -1),
-        free_energy=f_eps,
-        dual_value=j_eps,
-        duality_gap=f_eps - j_eps,
-        el_residual=euler_lagrange_residual(rho, A),
-        history=history,
-    )
+            f"{opts.tol_l2:.1e} at epsilon={epsilon:g}", report=report,
+            potential=state.potential)
+    return rho, state.potential, report
 
 
 @dataclass(frozen=True)

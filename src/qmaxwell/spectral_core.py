@@ -12,7 +12,8 @@ trigonometric polynomials of degree < N; N >= 4M+1 keeps every product
 A * e_p * e_q alias-free for potentials carried on wavenumbers <= 2M.
 
 Operators are real symmetric D x D coefficient matrices; densities are
-grid functions on the N points.
+grid functions on the N points.  This module assembles H + A; the Gibbs
+state exp(-(H+A)) built from that matrix lives in :mod:`qmaxwell.functionals`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "build_basis",
     "assemble_hamiltonian_plus_potential",
     "symmetric_eigendecompose",
-    "gibbs_from_potential",
     "density_of",
     "kernel_eval",
     "energy_trace",
@@ -241,11 +241,16 @@ def assemble_hamiltonian_plus_potential(basis: SpectralBasis,
     A e_p e_q has degree <= 4M < N.
     """
     _check_same_basis(basis, A.basis)
-    a_grid = A.on_grid()
-    E = basis.functions
-    K = (E * a_grid) @ E.T / basis.N
+    K = _multiplication_matrix(basis, A.on_grid())
     K[np.diag_indices_from(K)] += basis.h_eigenvalues
-    return 0.5 * (K + K.T)
+    return K
+
+
+def _multiplication_matrix(basis: SpectralBasis, grid_values) -> np.ndarray:
+    """Symmetric Galerkin matrix G_pq = integral of u e_p e_q of a grid function u."""
+    E = basis.functions
+    G = (E * grid_values) @ E.T / basis.N
+    return 0.5 * (G + G.T)
 
 
 def symmetric_eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
@@ -280,15 +285,6 @@ def symmetric_eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
             V[:, start:stop] = V[:, order]
         start = stop
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
-
-
-def gibbs_from_potential(basis: SpectralBasis, A: ChemicalPotential) -> DensityOperator:
-    """rho = exp(-(H+A)) through the spectral calculus of the Galerkin matrix."""
-    K = assemble_hamiltonian_plus_potential(basis, A)
-    dec = symmetric_eigendecompose(K)
-    w = np.exp(-dec.eigenvalues)
-    m = (dec.eigenvectors * w) @ dec.eigenvectors.T
-    return DensityOperator(basis, 0.5 * (m + m.T))
 
 
 def density_of(rho: DensityOperator) -> np.ndarray:

@@ -10,6 +10,7 @@ from qmaxwell.errors import (
     DensityFileError,
     DuplicatedEndpoint,
     MalformedRow,
+    MaxIterExceeded,
     NonPositiveDensity,
     NonUniformGrid,
     PotentialExprError,
@@ -251,8 +252,23 @@ def test_cli_solve_exit_2_on_budget(tmp_path):
     assert run_cli("forward", "--potential", "cos(2*pi*x)", "--modes", "4",
                    "--out", str(density)) == 0
     code = run_cli("solve", "--density", str(density), "--modes", "4",
-                   "--max-iter", "1", "--out", str(tmp_path / "r.json"))
+                   "--max-iter", "1", "--out", str(tmp_path / "r.json"),
+                   "--density-out", str(tmp_path / "achieved.csv"))
     assert code == 2
+    # the report holds the last iterate, the same one the library raises with
+    payload = json.loads((tmp_path / "r.json").read_text())
+    n = io_cli.parse_density_csv(density, qm.build_basis(4))
+    with pytest.raises(MaxIterExceeded) as info:
+        qm.solve_maxwellian(n, qm.SolverOptions(max_iter=1))
+    coeffs = payload["potential"]["fourier_coefficients"]
+    assert coeffs == info.value.potential.coefficients.tolist()
+    assert max(abs(c) for c in coeffs) > 0.1
+    assert payload["result"]["residual_l2"] == info.value.report.residual_l2
+    achieved = np.array(payload["density_achieved"]["values"])
+    assert np.sqrt(np.mean((achieved - n.values) ** 2)) == pytest.approx(
+        payload["result"]["residual_l2"], rel=1e-12)
+    written = io_cli.parse_density_csv(tmp_path / "achieved.csv", qm.build_basis(4))
+    assert_allclose(written.values, achieved, rtol=0, atol=0)
 
 
 def test_cli_verify_deterministic(tmp_path):
@@ -294,9 +310,12 @@ def test_cli_usage_errors(tmp_path):
     assert run_cli("solve", "--no-such-flag") == 64
     assert run_cli("frobnicate") == 64
     assert run_cli() == 64
+    # --seed is a verify flag only
+    assert run_cli("forward", "--potential", "zero", "--modes", "4",
+                   "--out", str(tmp_path / "n.csv"), "--seed", "5") == 64
 
 
-def test_cli_input_errors(tmp_path):
+def test_cli_input_errors(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert run_cli("solve", "--density", str(missing), "--modes", "4",
                    "--out", str(tmp_path / "r.json")) == 3
@@ -308,6 +327,12 @@ def test_cli_input_errors(tmp_path):
                    "--out", str(tmp_path / "r.json")) == 3
     assert run_cli("forward", "--potential", "tan(x)", "--modes", "4",
                    "--out", str(tmp_path / "n.csv")) == 3
+    # exp(-(H+A)) overflows: reported as such, not as a failed eigensolve
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        assert run_cli("forward", "--potential", "-800", "--modes", "4",
+                       "--out", str(tmp_path / "n.csv")) == 3
+    assert "overflow limit" in capsys.readouterr().err
 
 
 def test_cli_logging_env(tmp_path, monkeypatch, capsys):

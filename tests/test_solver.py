@@ -130,6 +130,10 @@ def test_basis_too_small_detection():
     with pytest.raises(BasisTooSmall) as info:
         qm.solve_maxwellian(n)
     assert info.value.suggested_modes >= 3
+    report = info.value.report
+    assert report is not None
+    assert report.residual_l2 > qm.SolverOptions().tol_l2
+    assert info.value.potential.basis is b1
 
 
 def test_options_validation():

@@ -163,6 +163,13 @@ def test_gibbs_constant_commutes(b3):
     assert np.max(np.abs(shifted.matrix - np.exp(-c) * base.matrix)) <= 1e-12
 
 
+def test_gibbs_overflow_names_its_cause(b3):
+    A = qm.ChemicalPotential.constant(b3, -800.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow") as info:
+        qm.gibbs_from_potential(b3, A)
+    assert "-800" in str(info.value) and "-709.78" in str(info.value)
+
+
 def test_gibbs_matches_finite_difference_oracle_quick():
     b = qm.build_basis(2)
 
