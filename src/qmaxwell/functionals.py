@@ -108,25 +108,28 @@ class GibbsState:
     exp(-lam), eigenfunctions ``phi`` = V^T E on the grid, ``density``.
 
     Given a target n, also ``residual`` = n[rho] - n (the gradient of J),
-    ``residual_l2``, ``grad_coeffs`` and ``objective`` = J(A).  Overflowing
-    weights stay inf, so a line search reads J = -inf and rejects the trial.
+    ``residual_l2``, ``grad_coeffs`` and ``objective`` = J(A).  Overflow is
+    expected and silent: weights stay inf, gibbs_from_potential raises on
+    them, and a line search reads a non-finite J and rejects the trial.
     """
 
     def __init__(self, A: ChemicalPotential, n: DensityProfile | None = None):
         basis = A.basis
         self.potential = A
         self.lam, self.V = np.linalg.eigh(assemble_hamiltonian_plus_potential(basis, A))
-        self.weights = np.exp(-self.lam)
         self.phi = self.V.T @ basis.functions
-        self.density = self.weights @ (self.phi * self.phi)
-        if n is None:
-            return
-        _check_same_basis(basis, n.basis)
-        self.residual = self.density - n.values
-        self.residual_l2 = float(np.sqrt(basis.quadrature(self.residual**2)))
-        self.grad_coeffs = basis.project(self.residual)
-        coupling = basis.quadrature(A.on_grid() * n.values)
-        self.objective = float(-np.sum(self.weights) - coupling)
+        if n is not None:
+            _check_same_basis(basis, n.basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.weights = np.exp(-self.lam)
+            self.density = self.weights @ (self.phi * self.phi)
+            if n is None:
+                return
+            self.residual = self.density - n.values
+            self.residual_l2 = float(np.sqrt(basis.quadrature(self.residual**2)))
+            self.grad_coeffs = basis.project(self.residual)
+            coupling = basis.quadrature(A.on_grid() * n.values)
+            self.objective = float(-np.sum(self.weights) - coupling)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -190,21 +193,29 @@ def dual_hessian_apply(A: ChemicalPotential, delta: ChemicalPotential) -> np.nda
     return state.operator_density(X)
 
 
-def _hessian_from_spectrum(basis: SpectralBasis, lam, V) -> np.ndarray:
-    """Coefficient-space Hessian of J at the potential whose Galerkin matrix
-    has spectrum (lam, V); symmetric negative semidefinite."""
-    T = basis.triple_products()
-    W = np.einsum("ai,qab,bj->qij", V, T, V)
-    phi = _exp_divided_differences(lam)
-    Wf = W.reshape(basis.D, -1)
-    H = -(Wf * phi.ravel()) @ Wf.T
+def _hessian_from_spectrum(state: GibbsState) -> np.ndarray:
+    """Coefficient-space Hessian of J at ``state``; symmetric negative semidefinite.
+
+    H_qr = -sum_ij W_qij Phi_ij W_rij with W_qij = integral of e_q phi_i phi_j;
+    W and H are one GEMM each over the grid.  Only active rows i
+    (exp(-lam_i) > 0) enter: when both weights underflow, Phi_ij is exactly
+    0 in either branch of _exp_divided_differences, and by symmetry each
+    (active, inactive) pair counts twice.  The cost is O(k D^2 N) for k
+    active states.
+    """
+    basis = state.potential.basis
+    k = int(np.count_nonzero(state.weights))
+    products = (state.phi[:k, None, :] * state.phi[None, :, :]).reshape(-1, basis.N)
+    W = basis.functions @ products.T / basis.N
+    coupling = _exp_divided_differences(state.lam)[:k]
+    coupling[:, k:] *= 2.0
+    H = -(W * coupling.ravel()) @ W.T
     return 0.5 * (H + H.T)
 
 
 def dual_hessian_matrix(A: ChemicalPotential) -> np.ndarray:
     """D x D matrix of second derivatives of J in basis coefficients."""
-    state = GibbsState(A)
-    return _hessian_from_spectrum(A.basis, state.lam, state.V)
+    return _hessian_from_spectrum(GibbsState(A))
 
 
 def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float:

@@ -3,7 +3,9 @@
 Density profiles travel as CSV with header ``x,n`` on a uniform periodic
 grid that excludes x = 1; solver output is a JSON report that round-trips
 losslessly (floats are written at full round-trip precision).  Exit codes:
-0 success, 2 iteration budget exhausted, 3 invalid input, 64 usage error.
+0 success, 2 iteration budget exhausted, 3 invalid input (including a mode
+cutoff too small for the density), 64 usage error.  ``solve`` writes its
+report for the last iterate on exit 2 and on a too-small basis as well.
 """
 
 from __future__ import annotations
@@ -376,14 +378,18 @@ def _cmd_solve(args) -> int:
     n = parse_density_csv(args.density, basis)
     opts = SolverOptions(method=_METHOD_NAMES[args.method], tol_l2=args.tol,
                          max_iter=args.max_iter)
+    failure = None
     try:
         A, rho, report = solve_maxwellian(n, opts)
         achieved, code = density_of(rho), EXIT_OK
-    except MaxIterExceeded as exc:
+    except (MaxIterExceeded, BasisTooSmall) as exc:
         log.error("%s", exc)
-        A, report, code = exc.potential, exc.report, EXIT_MAXITER
+        failure, A, report = exc, exc.potential, exc.report
+        code = EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
         achieved = fn.GibbsState(A).density
     payload = build_report_dict(basis, opts, report, A, achieved)
+    if isinstance(failure, BasisTooSmall):
+        payload["result"]["suggested_modes"] = failure.suggested_modes
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_report(payload))
     if args.density_out:

@@ -137,7 +137,7 @@ def _ascent_direction(basis, state, opts, method):
     """Newton direction on the dual (fallback: gradient) and its slope."""
     g = state.grad_coeffs
     if method == "dual_newton":
-        S = -_hessian_from_spectrum(basis, state.lam, state.V)
+        S = -_hessian_from_spectrum(state)
         S = S + opts.newton_regularization * np.eye(basis.D)
         if np.linalg.cond(S) > NEWTON_COND_LIMIT:
             log.info("Newton system ill-conditioned; falling back to gradient ascent")
@@ -151,6 +151,11 @@ def _ascent_direction(basis, state, opts, method):
         d = g.copy()
         slope = float(g @ g)
     return d, slope
+
+
+def _rises_by(trial: GibbsState, state: GibbsState, gain: float) -> bool:
+    """Armijo test: J rose by at least ``gain``; a non-finite J never passes."""
+    return bool(np.isfinite(trial.objective) and trial.objective >= state.objective + gain)
 
 
 def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
@@ -182,12 +187,16 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
         alpha = 1.0
         trial = _evaluate(n, state.potential.coefficients + d)
-        while trial.objective < state.objective + opts.armijo_c * alpha * slope - fp_slack:
+        # a predicted gain below the slack is rounding noise in J: the full
+        # step of the quadratic tail is then judged by the residual instead
+        tail_step = slope <= fp_slack and trial.residual_l2 < state.residual_l2
+        while not (tail_step or _rises_by(trial, state, opts.armijo_c * alpha * slope - fp_slack)):
             alpha *= opts.armijo_shrink
             if alpha < 1e-14:
                 break
             trial = _evaluate(n, state.potential.coefficients + alpha * d)
-        state = trial
+        if np.isfinite(trial.objective):  # an exhausted search never moves to NaN or inf
+            state = trial
         recent.append(float(np.linalg.norm(state.grad_coeffs)))
         history.append(HistoryEntry(residual=state.residual_l2, step_size=alpha,
                                     objective=state.objective))
@@ -303,7 +312,7 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
             break
         a = state.potential.coefficients
         res_coeffs = epsilon * a - state.grad_coeffs
-        S = -_hessian_from_spectrum(basis, state.lam, state.V)
+        S = -_hessian_from_spectrum(state)
         jac = epsilon * np.eye(basis.D) + S
         d = np.linalg.solve(jac, -res_coeffs)
         alpha = 1.0

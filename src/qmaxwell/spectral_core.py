@@ -92,15 +92,6 @@ class SpectralBasis:
         """Basis values at arbitrary points, shape (D, len(x))."""
         return _eval_functions(self.M, x)
 
-    def triple_products(self) -> np.ndarray:
-        """T[p, a, b] = integral of e_p e_a e_b (exact; cached)."""
-        cached = getattr(self, "_triple", None)
-        if cached is None:
-            E = self.functions
-            cached = np.einsum("pj,aj,bj->pab", E, E, E) / self.N
-            object.__setattr__(self, "_triple", cached)
-        return cached
-
     def wavenumbers(self) -> np.ndarray:
         """Wavenumber of each basis index: 0, 1, 1, 2, 2, ..."""
         return (np.arange(self.D) + 1) // 2

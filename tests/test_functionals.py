@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qmaxwell as qm
+from qmaxwell.functionals import GibbsState
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
 
@@ -211,6 +212,29 @@ def test_hessian_matrix_columns_match_apply(b4):
         e_q[q] = 1.0
         col = b4.project(qm.dual_hessian_apply(A, qm.ChemicalPotential(b4, e_q)))
         assert_allclose(col, H[:, q], atol=1e-12)
+
+
+@pytest.mark.parametrize("constant", [0.0, -600.0])
+def test_hessian_matrix_with_inactive_states(constant):
+    # at M=20 most states carry zero weight and the Hessian skips them; -600
+    # makes the weights about 1e260, large but finite
+    b20 = qm.build_basis(20)
+    rng = np.random.default_rng(12)
+    coeffs = np.zeros(b20.D)
+    coeffs[:9] = rng.normal(0, 1, 9)
+    coeffs[0] = constant
+    A = qm.ChemicalPotential(b20, coeffs)
+    active = np.count_nonzero(GibbsState(A).weights)
+    assert active < b20.D // 2
+    H = qm.dual_hessian_matrix(A)
+    scale = 1.0 + np.max(np.abs(H))
+    assert_allclose(H, H.T, rtol=0, atol=1e-14 * scale)
+    assert np.linalg.eigvalsh(H)[-1] <= 1e-12 * scale
+    for q in range(b20.D):
+        e_q = np.zeros(b20.D)
+        e_q[q] = 1.0
+        col = b20.project(qm.dual_hessian_apply(A, qm.ChemicalPotential(b20, e_q)))
+        assert_allclose(col, H[:, q], rtol=0, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

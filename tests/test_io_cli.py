@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import qmaxwell as qm
 from qmaxwell import io_cli
 from qmaxwell.errors import (
+    BasisTooSmall,
     DensityFileError,
     DuplicatedEndpoint,
     MalformedRow,
@@ -271,6 +272,27 @@ def test_cli_solve_exit_2_on_budget(tmp_path):
     assert_allclose(written.values, achieved, rtol=0, atol=0)
 
 
+def test_cli_solve_basis_too_small_writes_report(tmp_path):
+    density = tmp_path / "n.csv"
+    write_density(density, 1.0 + 0.5 * np.cos(6 * np.pi * np.arange(64) / 64))
+    code = run_cli("solve", "--density", str(density), "--modes", "1",
+                   "--out", str(tmp_path / "r.json"),
+                   "--density-out", str(tmp_path / "achieved.csv"))
+    assert code == 3
+    # the report holds the last iterate and the cutoff the library suggests
+    payload = json.loads((tmp_path / "r.json").read_text())
+    basis = qm.build_basis(1)
+    with pytest.raises(BasisTooSmall) as info:
+        qm.solve_maxwellian(io_cli.parse_density_csv(density, basis))
+    assert payload["result"]["suggested_modes"] == info.value.suggested_modes >= 3
+    assert payload["result"]["residual_l2"] == info.value.report.residual_l2
+    coeffs = payload["potential"]["fourier_coefficients"]
+    assert coeffs == info.value.potential.coefficients.tolist()
+    achieved = np.array(payload["density_achieved"]["values"])
+    written = io_cli.parse_density_csv(tmp_path / "achieved.csv", basis)
+    assert_allclose(written.values, achieved, rtol=0, atol=0)
+
+
 def test_cli_verify_deterministic(tmp_path):
     density = tmp_path / "roundtrip.csv"
     assert run_cli("forward", "--potential", "0.8*cos(2*pi*x)", "--modes", "6",
@@ -329,10 +351,10 @@ def test_cli_input_errors(tmp_path, capsys):
                    "--out", str(tmp_path / "n.csv")) == 3
     # exp(-(H+A)) overflows: reported as such, not as a failed eigensolve
     capsys.readouterr()
-    with np.errstate(over="ignore"):
-        assert run_cli("forward", "--potential", "-800", "--modes", "4",
-                       "--out", str(tmp_path / "n.csv")) == 3
-    assert "overflow limit" in capsys.readouterr().err
+    assert run_cli("forward", "--potential", "-800", "--modes", "4",
+                   "--out", str(tmp_path / "n.csv")) == 3
+    err = capsys.readouterr().err
+    assert "overflow limit" in err and "RuntimeWarning" not in err
 
 
 def test_cli_logging_env(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import qmaxwell as qm
 from qmaxwell.errors import BasisTooSmall, MaxIterExceeded, SingularDensityOperator
+from qmaxwell.functionals import GibbsState
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,37 @@ def test_basis_too_small_detection():
     assert report is not None
     assert report.residual_l2 > qm.SolverOptions().tol_l2
     assert info.value.potential.basis is b1
+
+
+# potentials c0 + sum_k a_k cos 2 pi k x + b_k sin 2 pi k x with large amplitudes
+_LARGE_POTENTIALS = [
+    (4.287817398256083,
+     [-0.10198162646622033, -4.982125401011602, -0.9558605364989001,
+      0.21961363598695907, 2.9594167171075183, -4.580824497261742],
+     [18.973274556016467, 7.6938743716281035, 6.963823020974915,
+      -5.146353424750572, -2.7920934958897163, 1.468511911555879]),
+    (4.221403542447447,
+     [11.17884723673333, -17.558705598336623, -13.861767888238994,
+      9.001231555205173, -5.360049227082346, 8.218156318525656],
+     [0.024378091677050556, 13.51923767824933, -5.010326180769827,
+      3.855154501761073, -13.526767304527429, 6.761484934260728]),
+]
+
+
+@pytest.mark.parametrize("c0, a, b", _LARGE_POTENTIALS)
+def test_full_step_taken_when_gain_is_below_rounding(c0, a, b):
+    # near convergence the predicted gain g.d is below the rounding error of
+    # J, so the Armijo test alone would reject the full Newton step, backtrack
+    # to tiny steps and report a false BasisTooSmall
+    b16 = qm.build_basis(16)
+    coeffs = np.zeros(b16.D)
+    coeffs[0] = c0
+    coeffs[1:13:2] = np.array(a) / np.sqrt(2.0)
+    coeffs[2:13:2] = np.array(b) / np.sqrt(2.0)
+    n = qm.DensityProfile(b16, GibbsState(qm.ChemicalPotential(b16, coeffs)).density)
+    A, _, report = qm.solve_maxwellian(n)
+    assert report.residual_l2 <= 1e-9
+    assert np.max(np.abs(A.coefficients - coeffs)) <= 1e-6
 
 
 def test_options_validation():
