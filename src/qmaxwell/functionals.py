@@ -232,14 +232,10 @@ def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float
     return float(np.sum(L * omega))
 
 
-def _descending_spectrum(rho: DensityOperator):
-    return np.linalg.eigvalsh(rho.matrix)[::-1]
-
-
 def validate_lieb(rho: DensityOperator) -> InequalityReport:
     """Pairing bound: sum of rho's eigenvalues (descending) against H's
     (ascending) is at most the kinetic trace.  gap = rhs - lhs >= 0."""
-    lam = _descending_spectrum(rho)
+    lam = rho.eigenvalues[::-1]
     mu = np.sort(rho.basis.h_eigenvalues)
     lhs = float(lam @ mu)
     rhs = energy_trace(rho)
@@ -315,7 +311,7 @@ def eigenvalue_perturbation_check(rho1: DensityOperator,
     """Weyl-type bound: eigenvalue sup-distance is at most the J1 distance.
     gap = rhs - lhs >= 0."""
     _check_same_basis(rho1.basis, rho2.basis)
-    lhs = float(np.max(np.abs(_descending_spectrum(rho1) - _descending_spectrum(rho2))))
+    lhs = float(np.max(np.abs(rho1.eigenvalues - rho2.eigenvalues)))
     rhs = trace_norm(rho1.matrix - rho2.matrix)
     return InequalityReport(name="eigenvalue_perturbation", lhs=lhs, rhs=rhs,
                             gap=rhs - lhs, holds=bool(lhs <= rhs + 1e-10))

@@ -205,14 +205,7 @@ def build_report_dict(basis, opts: SolverOptions, report, A: ChemicalPotential,
         "meta": {
             "modes": basis.M,
             "grid": basis.N,
-            "method": opts.method,
-            "tolerances": {
-                "tol_l2": opts.tol_l2,
-                "max_iter": opts.max_iter,
-                "armijo_c": opts.armijo_c,
-                "armijo_shrink": opts.armijo_shrink,
-                "newton_regularization": opts.newton_regularization,
-            },
+            "tolerances": {"tol_l2": opts.tol_l2, "max_iter": opts.max_iter},
             "schedule": list(opts.epsilon_schedule),
         },
         "result": {
@@ -323,8 +316,6 @@ def _build_parser():
     p_solve = sub.add_parser("solve", help="recover A from a density CSV")
     common(p_solve)
     p_solve.add_argument("--density", required=True)
-    p_solve.add_argument("--method", default="dual_newton",
-                         choices=["dual_newton", "gradient", "penalized"])
     p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.add_argument("--max-iter", type=int, default=100)
     p_solve.add_argument("--out", required=True)
@@ -346,10 +337,6 @@ def _build_parser():
     p_sweep.add_argument("--tol", type=float, default=1e-9)
     p_sweep.add_argument("--out", required=True)
     return parser
-
-
-_METHOD_NAMES = {"dual_newton": "dual_newton", "gradient": "dual_gradient_ascent",
-                 "penalized": "penalized_path"}
 
 
 def _configure_logging():
@@ -376,8 +363,7 @@ def _cmd_forward(args) -> int:
 def _cmd_solve(args) -> int:
     basis = _basis_for(args)
     n = parse_density_csv(args.density, basis)
-    opts = SolverOptions(method=_METHOD_NAMES[args.method], tol_l2=args.tol,
-                         max_iter=args.max_iter)
+    opts = SolverOptions(tol_l2=args.tol, max_iter=args.max_iter)
     failure = None
     try:
         A, rho, report = solve_maxwellian(n, opts)

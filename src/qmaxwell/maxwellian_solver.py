@@ -1,13 +1,15 @@
 """Inverse solve: given a strictly positive density n, find the potential A
 with n[exp(-(H+A))] = n.
 
-The default algorithm is damped Newton ascent on the concave dual
+The algorithm is damped Newton ascent on the concave dual
 
     J(A) = -Tr exp(-(H+A)) - integral of A n dx,
 
 whose gradient is the constraint residual n[exp(-(H+A))] - n, with an
-Armijo backtracking guard and a gradient-ascent fallback when the Newton
-system is ill-conditioned.  The penalized continuation path minimizes
+Armijo backtracking guard.  Each Newton step is one Cholesky solve of
+-Hess J + 1e-12 I; the step falls back to the gradient when that
+factorization fails or the slope is not positive.  The penalized
+continuation path minimizes
 
     F_eps(rho) = F(rho) + (1/2 eps) ||n[rho] - n||_L2^2
 
@@ -22,6 +24,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BasisTooSmall, MaxIterExceeded, SingularDensityOperator
 from .functionals import (
@@ -58,22 +61,18 @@ __all__ = [
 log = logging.getLogger("qmaxwell.solver")
 
 DEFAULT_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-NEWTON_COND_LIMIT = 1e12
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+NEWTON_SHIFT = 1e-12
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    method: str = "dual_newton"
     tol_l2: float = 1e-9
     max_iter: int = 100
     epsilon_schedule: tuple = DEFAULT_SCHEDULE
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    newton_regularization: float = 1e-12
 
     def __post_init__(self):
-        if self.method not in ("dual_newton", "dual_gradient_ascent", "penalized_path"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.tol_l2 <= 0.0:
             raise ValueError("tol_l2 must be > 0")
         sched = tuple(float(e) for e in self.epsilon_schedule)
@@ -133,23 +132,25 @@ def _suggest_modes(n: DensityProfile, tol: float) -> int:
     return int(k[-1])
 
 
-def _ascent_direction(basis, state, opts, method):
+def _newton_direction(state: GibbsState, shift: float, rhs):
+    """Solve (-Hess J + shift I) d = rhs at ``state`` by one Cholesky
+    factorization; LinAlgError when the shifted matrix is not positive definite."""
+    S = -_hessian_from_spectrum(state)
+    S[np.diag_indices_from(S)] += shift
+    return cho_solve(cho_factor(S), rhs)
+
+
+def _ascent_direction(state: GibbsState):
     """Newton direction on the dual (fallback: gradient) and its slope."""
     g = state.grad_coeffs
-    if method == "dual_newton":
-        S = -_hessian_from_spectrum(state)
-        S = S + opts.newton_regularization * np.eye(basis.D)
-        if np.linalg.cond(S) > NEWTON_COND_LIMIT:
-            log.info("Newton system ill-conditioned; falling back to gradient ascent")
-            d = g.copy()
-        else:
-            d = np.linalg.solve(S, g)
-    else:
-        d = g.copy()
+    try:
+        d = _newton_direction(state, NEWTON_SHIFT, g)
+    except np.linalg.LinAlgError:
+        log.info("Newton matrix not positive definite; falling back to gradient ascent")
+        d = g
     slope = float(g @ d)
     if slope <= 0.0:
-        d = g.copy()
-        slope = float(g @ g)
+        d, slope = g, float(g @ g)
     return d, slope
 
 
@@ -158,17 +159,16 @@ def _rises_by(trial: GibbsState, state: GibbsState, gain: float) -> bool:
     return bool(np.isfinite(trial.objective) and trial.objective >= state.objective + gain)
 
 
-def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
+def _dual_ascent(n: DensityProfile, opts: SolverOptions):
     basis = n.basis
-    a = _initial_coefficients(basis, n) if a0 is None else np.asarray(a0, dtype=float)
-    state = _evaluate(n, a)
+    state = _evaluate(n, _initial_coefficients(basis, n))
     history = []
     # stall detection watches the projected residual, the part the dual
     # variables control; the full residual legitimately lags behind it
     recent = [float(np.linalg.norm(state.grad_coeffs))]
     for iteration in range(opts.max_iter):
         if state.residual_l2 <= opts.tol_l2:
-            state, extra = _refine_once(basis, n, state, opts, method)
+            state, extra = _refine_once(n, state)
             history.extend(extra)
             return state, history
         if len(recent) >= 6 and recent[-1] > 0.99 * recent[-6]:
@@ -181,7 +181,7 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
                     suggested_modes=_suggest_modes(n, opts.tol_l2),
                     report=_constrained_report(state, history)[1],
                     potential=state.potential)
-        d, slope = _ascent_direction(basis, state, opts, method)
+        d, slope = _ascent_direction(state)
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
@@ -190,8 +190,8 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
         # a predicted gain below the slack is rounding noise in J: the full
         # step of the quadratic tail is then judged by the residual instead
         tail_step = slope <= fp_slack and trial.residual_l2 < state.residual_l2
-        while not (tail_step or _rises_by(trial, state, opts.armijo_c * alpha * slope - fp_slack)):
-            alpha *= opts.armijo_shrink
+        while not (tail_step or _rises_by(trial, state, ARMIJO_C * alpha * slope - fp_slack)):
+            alpha *= ARMIJO_SHRINK
             if alpha < 1e-14:
                 break
             trial = _evaluate(n, state.potential.coefficients + alpha * d)
@@ -210,10 +210,10 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, method: str, a0=None):
         report=_constrained_report(state, history)[1], potential=state.potential)
 
 
-def _refine_once(basis, n, state, opts, method):
+def _refine_once(n, state):
     """One extra full Newton step once inside tolerance; the quadratic tail
     usually lands orders of magnitude below tol and sharpens the recovered A."""
-    d, _ = _ascent_direction(basis, state, opts, method)
+    d, _ = _ascent_direction(state)
     trial = _evaluate(n, state.potential.coefficients + d)
     if trial.residual_l2 < state.residual_l2:
         entry = HistoryEntry(residual=trial.residual_l2, step_size=1.0,
@@ -250,16 +250,7 @@ def solve_maxwellian(n: DensityProfile, opts: SolverOptions | None = None):
     Raises NonPositiveDensity (at profile construction), or MaxIterExceeded
     or BasisTooSmall carrying the last iterate's report and potential.
     """
-    opts = opts or SolverOptions()
-    a0 = None
-    if opts.method == "penalized_path":
-        warm = None
-        for eps in opts.epsilon_schedule:
-            _, A_eps, _ = solve_penalized(n, eps, 0.0, opts, initial=warm)
-            warm = A_eps.coefficients
-        a0 = warm
-    method = "dual_newton" if opts.method == "penalized_path" else opts.method
-    state, history = _dual_ascent(n, opts, method, a0=a0)
+    state, history = _dual_ascent(n, opts or SolverOptions())
     rho, report = _constrained_report(state, history)
     return state.potential, rho, report
 
@@ -311,15 +302,13 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
         if current <= opts.tol_l2:
             break
         a = state.potential.coefficients
-        res_coeffs = epsilon * a - state.grad_coeffs
-        S = -_hessian_from_spectrum(state)
-        jac = epsilon * np.eye(basis.D) + S
-        d = np.linalg.solve(jac, -res_coeffs)
+        # -Hess J + eps I is positive definite for every eps > 0
+        d = _newton_direction(state, epsilon, state.grad_coeffs - epsilon * a)
         alpha = 1.0
         trial = _evaluate(n, a + d)
         d_trial = defect(trial)
         while d_trial > current and alpha > 1e-14:
-            alpha *= opts.armijo_shrink
+            alpha *= ARMIJO_SHRINK
             trial = _evaluate(n, a + alpha * d)
             d_trial = defect(trial)
         history.append(HistoryEntry(residual=trial.residual_l2, step_size=alpha,

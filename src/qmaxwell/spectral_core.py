@@ -134,10 +134,12 @@ def _check_same_basis(a: SpectralBasis, b: SpectralBasis):
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """PSD symmetric coefficient matrix rho_pq = (e_p, rho e_q)."""
+    """PSD symmetric coefficient matrix rho_pq = (e_p, rho e_q); ``eigenvalues``
+    (ascending) is the spectrum the constructor's PSD check computed."""
 
     basis: SpectralBasis
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -148,7 +150,9 @@ class DensityOperator:
         scale = 1.0 + np.max(np.abs(m)) if m.size else 1.0
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
             raise ValueError("density operator matrix is not symmetric within tolerance")
-        lam_min = float(np.linalg.eigvalsh(m)[0])
+        lam = np.linalg.eigvalsh(m)
+        object.__setattr__(self, "eigenvalues", lam)
+        lam_min = float(lam[0])
         if lam_min < -PSD_TOL * (abs(np.trace(m)) + 1.0):
             raise NotPositiveSemidefinite(
                 f"smallest eigenvalue {lam_min:.3e} below PSD tolerance")

@@ -5,21 +5,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qmaxwell import ChemicalPotential, DensityOperator
+from qmaxwell.io_cli import _haar_rotation as haar_rotation  # the verify suite's draws
+from qmaxwell.io_cli import _random_psd
 
 
 def random_psd(rng, basis, floor=0.0):
-    """Random PSD density operator; ``floor`` adds that multiple of the
-    flat-mode projector (keeps the density bounded away from zero)."""
-    B = rng.standard_normal((basis.D, basis.D))
-    m = B @ B.T / basis.D
-    if floor:
-        m[0, 0] += floor * np.trace(m)
+    """The verify suite's random PSD density operator; ``floor`` adds that
+    multiple of the flat-mode projector (keeps the density bounded away from zero)."""
+    rho = _random_psd(rng, basis)
+    if not floor:
+        return rho
+    m = rho.matrix.copy()
+    m[0, 0] += floor * np.trace(m)
     return DensityOperator(basis, m)
-
-
-def haar_rotation(rng, D):
-    Q, R = np.linalg.qr(rng.standard_normal((D, D)))
-    return Q * np.sign(np.diag(R))
 
 
 def random_potential(rng, basis, max_wavenumber, bound):

@@ -196,6 +196,8 @@ def test_report_json_roundtrip(b4):
     for key in ("meta", "result", "potential", "density_achieved",
                 "inequalities", "history"):
         assert key in payload
+    assert "method" not in payload["meta"]
+    assert set(payload["meta"]["tolerances"]) == {"tol_l2", "max_iter"}
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +337,9 @@ def test_cli_usage_errors(tmp_path):
     # --seed is a verify flag only
     assert run_cli("forward", "--potential", "zero", "--modes", "4",
                    "--out", str(tmp_path / "n.csv"), "--seed", "5") == 64
+    # solve has one method; every required flag is present here
+    assert run_cli("solve", "--density", str(tmp_path / "n.csv"), "--modes", "4",
+                   "--out", str(tmp_path / "r.json"), "--method", "dual_newton") == 64
 
 
 def test_cli_input_errors(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmaxwell as qm
+from qmaxwell import maxwellian_solver
 from qmaxwell.errors import BasisTooSmall, MaxIterExceeded, SingularDensityOperator
 from qmaxwell.functionals import GibbsState
 
@@ -75,31 +76,41 @@ def test_positivity_hypothesis_boundary(b4):
         qm.DensityProfile(b4, np.cos(2 * np.pi * b4.grid))
 
 
-def test_gradient_ascent_method():
-    b1 = qm.build_basis(1)
-    A_star, n = forward(b1, lambda x: 0.2 * np.cos(2 * np.pi * x))
-    opts = qm.SolverOptions(method="dual_gradient_ascent", max_iter=900)
-    A, _, report = qm.solve_maxwellian(n, opts)
-    assert report.residual_l2 <= opts.tol_l2
-    assert np.max(np.abs(A.on_grid() - A_star.on_grid())) <= 1e-6
-    objectives = [h.objective for h in report.history]
-    assert all(b >= a - 5e-15 for a, b in zip(objectives, objectives[1:]))
-
-
-def test_penalized_path_method(b4):
-    A_star, n = forward(b4, lambda x: 0.5 * np.cos(2 * np.pi * x))
-    opts = qm.SolverOptions(method="penalized_path")
-    A, _, report = qm.solve_maxwellian(n, opts)
-    assert report.residual_l2 <= opts.tol_l2
-    assert np.max(np.abs(A.on_grid() - A_star.on_grid())) <= 1e-6
-
-
 def test_newton_history_monotone_objective(b4):
     _, n = forward(b4, lambda x: 0.8 * np.cos(2 * np.pi * x) - 0.3 * np.sin(2 * np.pi * x))
     _, _, report = qm.solve_maxwellian(n)
     objectives = [h.objective for h in report.history]
     assert all(b >= a - 5e-15 for a, b in zip(objectives, objectives[1:]))
     assert all(h.step_size > 0 for h in report.history)
+
+
+def _state_off_solution(basis):
+    """Gibbs state of A = 0 against the density of a smooth nonzero potential."""
+    _, n = forward(basis, lambda x: 0.7 * np.cos(2 * np.pi * x) + 0.2 * np.sin(6 * np.pi * x))
+    return GibbsState(qm.ChemicalPotential.constant(basis, 0.0), n)
+
+
+def test_newton_direction_matches_dense_solve():
+    b20 = qm.build_basis(20)
+    state = _state_off_solution(b20)
+    g = state.grad_coeffs
+    S = -qm.dual_hessian_matrix(state.potential) + 1e-12 * np.eye(b20.D)
+    expected = np.linalg.solve(S, g)
+    d, slope = maxwellian_solver._ascent_direction(state)
+    assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert slope == pytest.approx(float(g @ expected), rel=1e-10)
+    assert slope > 0.0
+
+
+def test_newton_falls_back_to_gradient_when_not_positive_definite(b4, monkeypatch):
+    # +I makes -H + 1e-12 I negative definite, so the Cholesky factorization fails
+    monkeypatch.setattr(maxwellian_solver, "_hessian_from_spectrum",
+                        lambda state: np.eye(state.potential.basis.D))
+    state = _state_off_solution(b4)
+    g = state.grad_coeffs
+    d, slope = maxwellian_solver._ascent_direction(state)
+    assert np.array_equal(d, g)
+    assert slope == float(g @ g)
 
 
 def test_duality_gap_bounds(roundtrip8):
@@ -173,8 +184,6 @@ def test_options_validation():
         qm.SolverOptions(tol_l2=0.0)
     with pytest.raises(ValueError):
         qm.SolverOptions(epsilon_schedule=(1e-2, 1e-1))
-    with pytest.raises(ValueError):
-        qm.SolverOptions(method="annealing")
 
 
 # ---------------------------------------------------------------------------
