@@ -108,12 +108,16 @@ class GibbsState:
     exp(-lam), eigenfunctions ``phi`` = V^T E on the grid, ``density``.
 
     Given a target n, also ``residual`` = n[rho] - n (the gradient of J),
-    ``residual_l2``, ``grad_coeffs`` and ``objective`` = J(A).  Overflow is
+    ``residual_l2``, and the penalized dual J_eps(A) = J(A) - (eps/2)||A||^2
+    that a line search reads: ``objective`` = J_eps(A) and its coefficient
+    gradient ``grad_coeffs`` = P(residual) - eps a (J itself at eps = 0;
+    ||A||_L2^2 = a.a since the basis is orthonormal).  Overflow is
     expected and silent: weights stay inf, gibbs_from_potential raises on
     them, and a line search reads a non-finite J and rejects the trial.
     """
 
-    def __init__(self, A: ChemicalPotential, n: DensityProfile | None = None):
+    def __init__(self, A: ChemicalPotential, n: DensityProfile | None = None,
+                 eps: float = 0.0):
         basis = A.basis
         self.potential = A
         self.lam, self.V = np.linalg.eigh(assemble_hamiltonian_plus_potential(basis, A))
@@ -127,9 +131,10 @@ class GibbsState:
                 return
             self.residual = self.density - n.values
             self.residual_l2 = float(np.sqrt(basis.quadrature(self.residual**2)))
-            self.grad_coeffs = basis.project(self.residual)
+            a = A.coefficients
+            self.grad_coeffs = basis.project(self.residual) - eps * a
             coupling = basis.quadrature(A.on_grid() * n.values)
-            self.objective = float(-np.sum(self.weights) - coupling)
+            self.objective = float(-np.sum(self.weights) - coupling - 0.5 * eps * (a @ a))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -280,7 +285,7 @@ def log_sobolev_gap(rho: DensityOperator) -> InequalityReport:
     """
     if rho.trace <= 0.0:
         raise ValueError("log-Sobolev diagnostic needs Tr rho > 0")
-    lam, _ = _checked_clamped_spectrum(rho)
+    lam = np.maximum(rho.eigenvalues, 0.0)
     pos = lam > 0.0
     lhs = float(np.sum(lam[pos] * np.log(lam[pos])) + energy_trace(rho))
     n = np.maximum(density_of(rho), 1e-300)

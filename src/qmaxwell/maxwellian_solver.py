@@ -13,9 +13,11 @@ continuation path minimizes
 
     F_eps(rho) = F(rho) + (1/2 eps) ||n[rho] - n||_L2^2
 
-along a descending eps schedule; each penalized minimizer is the Gibbs
-state of A_eps = (1/eps)(n[rho_eps] - n), computed here as the fixed point
-of that self-consistency map.
+along a descending eps schedule.  Each penalized minimizer is the Gibbs
+state of the maximizer A_eps of the strictly concave dual
+J_eps(A) = J(A) - (eps/2)||A||_L2^2, and the same Newton ascent serves
+both duals: at eps > 0 it stops on the in-basis defect
+||a - P(n[rho] - n)/eps||, P the projection onto the basis.
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ def _xlogx(lam):
     return out
 
 
-def _evaluate(n: DensityProfile, a) -> GibbsState:
-    """The Gibbs state of coefficient vector ``a``, evaluated against ``n``."""
-    return GibbsState(ChemicalPotential(n.basis, np.asarray(a, dtype=float)), n)
+def _evaluate(n: DensityProfile, a, eps: float) -> GibbsState:
+    """The Gibbs state of coefficient vector ``a``, evaluated on J_eps against ``n``."""
+    return GibbsState(ChemicalPotential(n.basis, np.asarray(a, dtype=float)), n, eps)
 
 
 def _initial_coefficients(basis: SpectralBasis, n: DensityProfile):
@@ -132,6 +134,16 @@ def _suggest_modes(n: DensityProfile, tol: float) -> int:
     return int(k[-1])
 
 
+def _stopping_measure(state: GibbsState, eps: float) -> float:
+    """The stopping measure: the L2 residual ||n[rho] - n|| at eps = 0; for
+    eps > 0 the in-basis defect ||a - P(n[rho] - n)/eps|| = ||grad J_eps|| / eps.
+    The out-of-basis part (1/eps)(I - P)(n[rho] - n) of the grid defect is
+    Galerkin truncation, which no potential in the basis can change."""
+    if eps > 0.0:
+        return float(np.linalg.norm(state.grad_coeffs)) / eps
+    return state.residual_l2
+
+
 def _newton_direction(state: GibbsState, shift: float, rhs):
     """Solve (-Hess J + shift I) d = rhs at ``state`` by one Cholesky
     factorization; LinAlgError when the shifted matrix is not positive definite."""
@@ -140,11 +152,12 @@ def _newton_direction(state: GibbsState, shift: float, rhs):
     return cho_solve(cho_factor(S), rhs)
 
 
-def _ascent_direction(state: GibbsState):
-    """Newton direction on the dual (fallback: gradient) and its slope."""
+def _ascent_direction(state: GibbsState, eps: float = 0.0):
+    """Newton direction on J_eps (fallback: gradient) and its slope;
+    -Hess J_eps = -Hess J + eps I."""
     g = state.grad_coeffs
     try:
-        d = _newton_direction(state, NEWTON_SHIFT, g)
+        d = _newton_direction(state, NEWTON_SHIFT + eps, g)
     except np.linalg.LinAlgError:
         log.info("Newton matrix not positive definite; falling back to gradient ascent")
         d = g
@@ -159,42 +172,50 @@ def _rises_by(trial: GibbsState, state: GibbsState, gain: float) -> bool:
     return bool(np.isfinite(trial.objective) and trial.objective >= state.objective + gain)
 
 
-def _dual_ascent(n: DensityProfile, opts: SolverOptions):
+def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
+                 eta: float = 0.0, initial=None):
+    """Damped Newton ascent on J_eps (J at eps = 0) from ``initial`` or the
+    semiclassical guess; returns (state, history) once the stopping measure
+    is within tol_l2.  ``eta`` only selects the entropy of a failure's report."""
     basis = n.basis
-    state = _evaluate(n, _initial_coefficients(basis, n))
+    a0 = _initial_coefficients(basis, n) if initial is None else initial
+    state = _evaluate(n, a0, eps)
     history = []
     # stall detection watches the projected residual, the part the dual
     # variables control; the full residual legitimately lags behind it
     recent = [float(np.linalg.norm(state.grad_coeffs))]
     for iteration in range(opts.max_iter):
-        if state.residual_l2 <= opts.tol_l2:
-            state, extra = _refine_once(n, state)
+        if _stopping_measure(state, eps) <= opts.tol_l2:
+            state, extra = _refine_once(n, state, eps)
             history.extend(extra)
             return state, history
-        if len(recent) >= 6 and recent[-1] > 0.99 * recent[-6]:
+        # J_eps is strictly concave for eps > 0, so only J can stall on the basis
+        if eps == 0.0 and len(recent) >= 6 and recent[-1] > 0.99 * recent[-6]:
             tail = _density_tail(n, basis.M)
             if tail > opts.tol_l2:
+                modes = _suggest_modes(n, opts.tol_l2)
                 raise BasisTooSmall(
                     f"residual stalled at {state.residual_l2:.3e} while the density "
                     f"carries {tail:.3e} beyond wavenumber {basis.M}; "
-                    f"retry with at least M = {_suggest_modes(n, opts.tol_l2)}",
-                    suggested_modes=_suggest_modes(n, opts.tol_l2),
-                    report=_constrained_report(state, history)[1],
+                    f"retry with at least M = {modes}",
+                    suggested_modes=modes,
+                    report=_solution(state, history, n)[1],
                     potential=state.potential)
-        d, slope = _ascent_direction(state)
+        d, slope = _ascent_direction(state, eps)
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
         alpha = 1.0
-        trial = _evaluate(n, state.potential.coefficients + d)
+        trial = _evaluate(n, state.potential.coefficients + d, eps)
         # a predicted gain below the slack is rounding noise in J: the full
-        # step of the quadratic tail is then judged by the residual instead
-        tail_step = slope <= fp_slack and trial.residual_l2 < state.residual_l2
+        # step of the quadratic tail is then judged by the stopping measure
+        tail_step = (slope <= fp_slack
+                     and _stopping_measure(trial, eps) < _stopping_measure(state, eps))
         while not (tail_step or _rises_by(trial, state, ARMIJO_C * alpha * slope - fp_slack)):
             alpha *= ARMIJO_SHRINK
             if alpha < 1e-14:
                 break
-            trial = _evaluate(n, state.potential.coefficients + alpha * d)
+            trial = _evaluate(n, state.potential.coefficients + alpha * d, eps)
         if np.isfinite(trial.objective):  # an exhausted search never moves to NaN or inf
             state = trial
         recent.append(float(np.linalg.norm(state.grad_coeffs)))
@@ -202,44 +223,45 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions):
                                     objective=state.objective))
         log.debug("iter %d: residual %.3e, step %.3e, J %.12g",
                   iteration + 1, state.residual_l2, alpha, state.objective)
-    if state.residual_l2 <= opts.tol_l2:
+    error = _stopping_measure(state, eps)
+    if error <= opts.tol_l2:
         return state, history
+    measure = f"penalized (epsilon={eps:g}) in-basis defect" if eps > 0.0 else "residual"
     raise MaxIterExceeded(
-        f"residual {state.residual_l2:.3e} above tolerance {opts.tol_l2:.1e} "
+        f"{measure} {error:.3e} above tolerance {opts.tol_l2:.1e} "
         f"after {opts.max_iter} iterations",
-        report=_constrained_report(state, history)[1], potential=state.potential)
+        report=_solution(state, history, n, eps, eta)[1], potential=state.potential)
 
 
-def _refine_once(n, state):
+def _refine_once(n, state, eps):
     """One extra full Newton step once inside tolerance; the quadratic tail
     usually lands orders of magnitude below tol and sharpens the recovered A."""
-    d, _ = _ascent_direction(state)
-    trial = _evaluate(n, state.potential.coefficients + d)
-    if trial.residual_l2 < state.residual_l2:
+    d, _ = _ascent_direction(state, eps)
+    trial = _evaluate(n, state.potential.coefficients + d, eps)
+    if _stopping_measure(trial, eps) < _stopping_measure(state, eps):
         entry = HistoryEntry(residual=trial.residual_l2, step_size=1.0,
                              objective=trial.objective)
         return trial, [entry]
     return state, []
 
 
-def _report(state: GibbsState, rho: DensityOperator, f_value, j_value, history):
-    """Report of the iterate ``state`` with primal/dual objective pair (F, J)."""
-    return SolveReport(
+def _solution(state: GibbsState, history, n: DensityProfile, eps: float = 0.0,
+              eta: float = 0.0):
+    """(rho, report) of the iterate ``state``, with the primal/dual pair
+    (F, J), or (F_eps, J_eps) for eps > 0, which agree at the optimum."""
+    rho = DensityOperator(n.basis, state.matrix)
+    f = penalized_free_energy(rho, n, eps, eta) if eps > 0.0 else free_energy(rho)
+    report = SolveReport(
         iterations=len(history),
         residual_l2=state.residual_l2,
         residual_hminus1=sobolev_norm(state.residual, -1),
-        free_energy=f_value,
-        dual_value=j_value,
-        duality_gap=f_value - j_value,
+        free_energy=f.total,
+        dual_value=state.objective,
+        duality_gap=f.total - state.objective,
         el_residual=euler_lagrange_residual(rho, state.potential),
         history=history,
     )
-
-
-def _constrained_report(state: GibbsState, history):
-    """(rho, report) of the iterate ``state``."""
-    rho = DensityOperator(state.potential.basis, state.matrix)
-    return rho, _report(state, rho, free_energy(rho).total, state.objective, history)
+    return rho, report
 
 
 def solve_maxwellian(n: DensityProfile, opts: SolverOptions | None = None):
@@ -251,7 +273,7 @@ def solve_maxwellian(n: DensityProfile, opts: SolverOptions | None = None):
     or BasisTooSmall carrying the last iterate's report and potential.
     """
     state, history = _dual_ascent(n, opts or SolverOptions())
-    rho, report = _constrained_report(state, history)
+    rho, report = _solution(state, history, n)
     return state.potential, rho, report
 
 
@@ -259,72 +281,24 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
                     opts: SolverOptions | None = None, initial=None):
     """Minimize the penalized functional; returns (rho_eps, A_eps, report).
 
-    A_eps is the fixed point of A -> (1/eps)(n[exp(-(H+A))] - n), found by
-    the damped fixed-point map, Newton-accelerated once the residual is
-    small (and immediately when warm-started).  Gibbs-form iterates are
-    strictly positive definite, so eta never enters the iteration; it only
-    selects the regularized entropy in the reported objective.
+    rho_eps = exp(-(H+A_eps)), where A_eps maximizes the strictly concave
+    dual J_eps(A) = J(A) - (eps/2)||A||_L2^2 by the same Newton ascent as
+    the constrained solve, cold-started from its semiclassical guess or
+    warm-started from the coefficients ``initial``.  It stops when the
+    in-basis defect ||a - P(n[rho] - n)/eps|| is at most tol_l2, and raises
+    MaxIterExceeded otherwise.  Gibbs-form iterates are strictly positive
+    definite, so eta never enters the iteration; it only selects the
+    regularized entropy in the reported objective.
 
     The reported free_energy/dual_value pair is the penalized objective
-    F_eps and its exact Fenchel dual J(A) - (eps/2)||A||_L2^2, which agree
-    at the fixed point.
+    F_eps and its exact Fenchel dual J_eps, which agree at the optimum.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
-    opts = opts or SolverOptions()
-    basis = n.basis
-    a = np.zeros(basis.D) if initial is None else np.asarray(initial, dtype=float)
-    state = _evaluate(n, a)
-    history = []
-
-    def defect(st):
-        # L2 norm of A - (1/eps)(n[rho_A] - n) on the grid
-        return float(np.sqrt(basis.quadrature(
-            (st.potential.on_grid() - st.residual / epsilon) ** 2)))
-
-    current = defect(state)
-    # damped fixed-point phase, only useful from a cold start at moderate eps
-    if initial is None:
-        for _ in range(12):
-            if current <= max(1e-2, opts.tol_l2):
-                break
-            trial = _evaluate(n, 0.5 * (state.potential.coefficients
-                                        + state.grad_coeffs / epsilon))
-            d_trial = defect(trial)
-            history.append(HistoryEntry(residual=trial.residual_l2, step_size=0.5,
-                                        objective=-d_trial))
-            if d_trial >= current:
-                break
-            state, current = trial, d_trial
-    for _ in range(opts.max_iter):
-        if current <= opts.tol_l2:
-            break
-        a = state.potential.coefficients
-        # -Hess J + eps I is positive definite for every eps > 0
-        d = _newton_direction(state, epsilon, state.grad_coeffs - epsilon * a)
-        alpha = 1.0
-        trial = _evaluate(n, a + d)
-        d_trial = defect(trial)
-        while d_trial > current and alpha > 1e-14:
-            alpha *= ARMIJO_SHRINK
-            trial = _evaluate(n, a + alpha * d)
-            d_trial = defect(trial)
-        history.append(HistoryEntry(residual=trial.residual_l2, step_size=alpha,
-                                    objective=-d_trial))
-        if d_trial >= current and current <= 10.0 * opts.tol_l2:
-            break  # rounding floor of the self-consistency defect
-        state, current = trial, d_trial
-    rho = DensityOperator(basis, state.matrix)
-    a_l2_sq = basis.quadrature(state.potential.on_grid() ** 2)
-    report = _report(state, rho, penalized_free_energy(rho, n, epsilon, eta).total,
-                     state.objective - 0.5 * epsilon * a_l2_sq, history)
-    if current > 10.0 * opts.tol_l2:
-        raise MaxIterExceeded(
-            f"penalized fixed-point defect {current:.3e} above tolerance "
-            f"{opts.tol_l2:.1e} at epsilon={epsilon:g}", report=report,
-            potential=state.potential)
+    state, history = _dual_ascent(n, opts or SolverOptions(), epsilon, eta, initial)
+    rho, report = _solution(state, history, n, epsilon, eta)
     return rho, state.potential, report
 
 

@@ -392,8 +392,8 @@ def matrix_entropy_function(rho: DensityOperator, eta: float = 0.0) -> np.ndarra
 
 
 def entropy_trace(rho: DensityOperator, eta: float = 0.0) -> float:
-    """Tr beta_eta(rho); equals the trace of :func:`matrix_entropy_function`."""
+    """Tr beta_eta(rho); equals the trace of :func:`matrix_entropy_function`.
+    Reads the spectrum the constructor computed and checked for PSD."""
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
-    lam, _ = _checked_clamped_spectrum(rho)
-    return float(np.sum(_beta_eta(lam, eta)))
+    return float(np.sum(_beta_eta(np.maximum(rho.eigenvalues, 0.0), eta)))

@@ -243,6 +243,30 @@ def test_penalized_eta_affects_reported_objective_only(b4):
     assert rep1.free_energy > rep0.free_energy  # beta_eta >= beta_0
 
 
+def test_penalized_stops_on_in_basis_defect(b4):
+    # the grid defect of this density keeps the out-of-basis part
+    # (1/eps)(I - P)(n[rho] - n); the solve stops on the in-basis part
+    _, n = forward(b4, lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x))
+    eps, opts = 1e-2, qm.SolverOptions()
+    rho_eps, A_eps, report = qm.solve_penalized(n, eps, 0.0, opts)
+    projected = b4.project(qm.density_of(rho_eps) - n.values)
+    assert np.linalg.norm(A_eps.coefficients - projected / eps) <= opts.tol_l2
+    assert 0.0 <= report.duality_gap <= 1e-8
+
+
+def test_penalized_max_iter_report_is_penalized(b4):
+    _, n = forward(b4, lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x))
+    eps, eta = 1e-2, 1e-3
+    with pytest.raises(MaxIterExceeded) as info:
+        qm.solve_penalized(n, eps, eta, qm.SolverOptions(max_iter=1))
+    report, A = info.value.report, info.value.potential
+    rho = qm.gibbs_from_potential(b4, A)
+    a = A.coefficients
+    assert report.free_energy == qm.penalized_free_energy(rho, n, eps, eta).total
+    assert report.dual_value == qm.dual_functional(A, n) - 0.5 * eps * (a @ a)
+    assert report.history[-1].objective == report.dual_value
+
+
 def test_penalized_rejects_bad_epsilon(b4):
     _, n = forward(b4, lambda x: 0.1 * np.cos(2 * np.pi * x))
     with pytest.raises(ValueError):
