@@ -1,11 +1,12 @@
 """CSV/JSON serialization and the ``qmaxwell`` command-line surface.
 
 Density profiles travel as CSV with header ``x,n`` on a uniform periodic
-grid that excludes x = 1; solver output is a JSON report that round-trips
-losslessly (floats are written at full round-trip precision).  Exit codes:
-0 success, 2 iteration budget exhausted, 3 invalid input (including a mode
-cutoff too small for the density), 64 usage error.  ``solve`` writes its
-report for the last iterate on exit 2 and on a too-small basis as well.
+grid that excludes x = 1, with finite fields; solver output is a JSON
+report that round-trips losslessly (floats are written at full round-trip
+precision).  Exit codes: 0 success, 1 a failed ``verify`` inequality, 2
+iteration budget exhausted, 3 invalid input (including a mode cutoff too
+small for the density), 64 usage error.  ``solve`` and ``verify`` write
+the report for the last iterate on exit 2 and on a too-small basis as well.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import re
 import sys
 
 import numpy as np
-from scipy.signal import resample as _fft_resample
 
 from . import functionals as fn
 from .errors import (
@@ -93,6 +93,8 @@ def _read_uniform_csv(path, header, positive):
         except ValueError:
             raise MalformedRow(f"could not parse {line!r} as two floats",
                                line_number=idx) from None
+        if not (np.isfinite(x) and np.isfinite(v)):
+            raise MalformedRow(f"non-finite field in {line!r}", line_number=idx)
         xs.append(x)
         vs.append(v)
     xs = np.asarray(xs)
@@ -116,9 +118,17 @@ def _read_uniform_csv(path, header, positive):
 
 
 def _resample(values, N):
-    if values.size == N:
-        return np.asarray(values, dtype=float)
-    return _fft_resample(np.asarray(values, dtype=float), N)
+    """Fourier resample onto N points by scipy.signal.resample's formula: the
+    shorter length's unpaired Nyquist bin doubles (down) or halves (up)."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    if n == N:
+        return values
+    m = min(n, N)
+    X = np.fft.rfft(values)[: m // 2 + 1]
+    if m % 2 == 0:
+        X[m // 2] *= 2.0 if N < n else 0.5
+    return np.fft.irfft(X, n=N) * (N / n)
 
 
 def parse_density_csv(path, basis: SpectralBasis) -> DensityProfile:
@@ -328,6 +338,7 @@ def _build_parser():
     p_verify.add_argument("--seed", type=int, default=0, metavar="U64")
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--out", required=True)
+    p_verify.set_defaults(max_iter=SolverOptions.max_iter, density_out=None)
 
     p_sweep = sub.add_parser("sweep-epsilon", help="penalized continuation table")
     common(p_sweep)
@@ -361,10 +372,11 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    """``solve``, and ``verify``: the inequality suite runs once the solve converges."""
     basis = _basis_for(args)
     n = parse_density_csv(args.density, basis)
     opts = SolverOptions(tol_l2=args.tol, max_iter=args.max_iter)
-    failure = None
+    failure, inequalities = None, []
     try:
         A, rho, report = solve_maxwellian(n, opts)
         achieved, code = density_of(rho), EXIT_OK
@@ -373,7 +385,12 @@ def _cmd_solve(args) -> int:
         failure, A, report = exc, exc.potential, exc.report
         code = EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
         achieved = fn.GibbsState(A).density
-    payload = build_report_dict(basis, opts, report, A, achieved)
+    if failure is None and args.command == "verify":
+        inequalities = run_inequality_suite(basis, A, rho, n, report, opts,
+                                            args.samples, args.seed)
+        if not all(r.holds for r in inequalities if not r.diagnostic):
+            code = 1
+    payload = build_report_dict(basis, opts, report, A, achieved, inequalities)
     if isinstance(failure, BasisTooSmall):
         payload["result"]["suggested_modes"] = failure.suggested_modes
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -381,25 +398,6 @@ def _cmd_solve(args) -> int:
     if args.density_out:
         write_density_csv(args.density_out, basis, achieved)
     return code
-
-
-def _cmd_verify(args) -> int:
-    basis = _basis_for(args)
-    n = parse_density_csv(args.density, basis)
-    opts = SolverOptions(tol_l2=args.tol)
-    try:
-        A, rho, report = solve_maxwellian(n, opts)
-    except MaxIterExceeded as exc:
-        log.error("%s", exc)
-        return EXIT_MAXITER
-    inequalities = run_inequality_suite(basis, A, rho, n, report, opts,
-                                        args.samples, args.seed)
-    payload = build_report_dict(basis, opts, report, A, density_of(rho),
-                                inequalities)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize_report(payload))
-    ok = all(r.holds for r in inequalities if not r.diagnostic)
-    return EXIT_OK if ok else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -442,14 +440,10 @@ def cli_dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     handler = {"forward": _cmd_forward, "solve": _cmd_solve,
-               "verify": _cmd_verify, "sweep-epsilon": _cmd_sweep}[args.command]
+               "verify": _cmd_solve, "sweep-epsilon": _cmd_sweep}[args.command]
     try:
         return handler(args)
-    except (DensityFileError, NonPositiveDensity, PotentialExprError,
-            BasisTooSmall, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QMaxwellError as exc:
+    except (QMaxwellError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

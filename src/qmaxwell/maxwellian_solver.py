@@ -26,7 +26,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BasisTooSmall, MaxIterExceeded, SingularDensityOperator
 from .functionals import (
@@ -146,10 +145,14 @@ def _stopping_measure(state: GibbsState, eps: float) -> float:
 
 def _newton_direction(state: GibbsState, shift: float, rhs):
     """Solve (-Hess J + shift I) d = rhs at ``state`` by one Cholesky
-    factorization; LinAlgError when the shifted matrix is not positive definite."""
+    factorization; LinAlgError when the shifted matrix is not finite or not
+    positive definite (np.linalg.cholesky lets a NaN entry through)."""
     S = -_hessian_from_spectrum(state)
     S[np.diag_indices_from(S)] += shift
-    return cho_solve(cho_factor(S), rhs)
+    if not np.all(np.isfinite(S)):
+        raise np.linalg.LinAlgError("Newton matrix is not finite")
+    L = np.linalg.cholesky(S)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def _ascent_direction(state: GibbsState, eps: float = 0.0):

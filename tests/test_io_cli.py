@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,15 +66,29 @@ def test_density_csv_exact_roundtrip(tmp_path, b4):
 
 
 def test_density_resampling_preserves_mass(tmp_path):
-    basis = qm.build_basis(8, 34)
-    x = np.arange(64) / 64
-    path = tmp_path / "wave.csv"
-    write_density(path, 1.0 + 0.5 * np.cos(2 * np.pi * x))
-    profile = io_cli.parse_density_csv(path, basis)
-    assert profile.values.size == 34
-    assert abs(profile.mass - 1.0) <= 1e-12
-    expected = 1.0 + 0.5 * np.cos(2 * np.pi * basis.grid)
-    assert_allclose(profile.values, expected, atol=1e-12)
+    # 64 rows down to 34 points, and 17 rows up to 32
+    for rows, basis in ((64, qm.build_basis(8, 34)), (17, qm.build_basis(4))):
+        x = np.arange(rows) / rows
+        path = tmp_path / f"wave{rows}.csv"
+        write_density(path, 1.0 + 0.5 * np.cos(2 * np.pi * x))
+        profile = io_cli.parse_density_csv(path, basis)
+        assert profile.values.size == basis.N
+        assert abs(profile.mass - 1.0) <= 1e-12
+        expected = 1.0 + 0.5 * np.cos(2 * np.pi * basis.grid)
+        assert_allclose(profile.values, expected, atol=1e-12)
+
+
+def test_resample_matches_scipy_reference():
+    from scipy.signal import resample  # test-only reference
+
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for rows in range(2, 70):
+        values = rng.uniform(-1.0, 1.0, rows)
+        for N in range(2, 140):
+            worst = max(worst, np.max(np.abs(io_cli._resample(values, N)
+                                              - resample(values, N))))
+    assert worst <= 1e-14
 
 
 def test_density_header_and_row_errors(tmp_path, b4):
@@ -107,6 +125,16 @@ def test_density_grid_errors(tmp_path, b4):
     duplicated.write_text("\n".join(rows) + "\n")
     with pytest.raises(DuplicatedEndpoint):
         io_cli.parse_density_csv(duplicated, b4)
+
+    # a NaN x once passed the uniform-grid check, since NaN > tol is False
+    for row in ("nan,1.0", "0.25,inf"):
+        nonfinite = tmp_path / "nonfinite.csv"
+        rows = ["x,n"] + [f"{j / 32},1.0" for j in range(32)]
+        rows[9] = row
+        nonfinite.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedRow) as info:
+            io_cli.parse_density_csv(nonfinite, b4)
+        assert info.value.line_number == 10
 
 
 def test_density_positivity_error(tmp_path, b4):
@@ -293,6 +321,13 @@ def test_cli_solve_basis_too_small_writes_report(tmp_path):
     achieved = np.array(payload["density_achieved"]["values"])
     written = io_cli.parse_density_csv(tmp_path / "achieved.csv", basis)
     assert_allclose(written.values, achieved, rtol=0, atol=0)
+    # verify shares the failure path: the same report, with no inequalities
+    assert run_cli("verify", "--density", str(density), "--modes", "1",
+                   "--out", str(tmp_path / "v.json")) == 3
+    verified = json.loads((tmp_path / "v.json").read_text())
+    assert verified["inequalities"] == []
+    assert verified["result"] == payload["result"]
+    assert verified["potential"] == payload["potential"]
 
 
 def test_cli_verify_deterministic(tmp_path):
@@ -367,6 +402,42 @@ def test_cli_input_errors(tmp_path, capsys):
                    "--out", str(tmp_path / "n.csv")) == 3
     err = capsys.readouterr().err
     assert "overflow limit" in err and "RuntimeWarning" not in err
+    # non-finite fields are rejected where they are read, naming the line
+    x = qm.build_basis(4).grid
+    for command, header, field in (("solve", "x,n", "nan,1.0"),
+                                   ("forward", "x,a", "0.25,nan"),
+                                   ("forward", "x,a", "0.25,inf")):
+        path = tmp_path / "nonfinite.csv"
+        rows = [header] + [f"{float(xi)!r},1.0" for xi in x]
+        rows[9] = field
+        path.write_text("\n".join(rows) + "\n")
+        flag = "--density" if command == "solve" else "--potential"
+        assert run_cli(command, flag, str(path), "--modes", "4",
+                       "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "line 10" in err and "RuntimeWarning" not in err
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # a fresh interpreter: the test suite itself imports SciPy
+    src = str(Path(qm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "import qmaxwell\n"
+        "from qmaxwell.io_cli import cli_dispatch\n"
+        "assert cli_dispatch(['forward', '--potential', 'cos(2*pi*x)', '--modes', '4',"
+        " '--out', 'n.csv']) == 0\n"
+        "assert cli_dispatch(['solve', '--density', 'n.csv', '--modes', '4',"
+        " '--out', 'r.json']) == 0\n"
+        "assert cli_dispatch(['verify', '--density', 'n.csv', '--modes', '4',"
+        " '--samples', '5', '--out', 'v.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_logging_env(tmp_path, monkeypatch, capsys):

@@ -102,15 +102,24 @@ def test_newton_direction_matches_dense_solve():
     assert slope > 0.0
 
 
+def _with_nan_entry(D):
+    H = -np.eye(D)
+    H[1, 2] = H[2, 1] = np.nan
+    return H
+
+
 def test_newton_falls_back_to_gradient_when_not_positive_definite(b4, monkeypatch):
-    # +I makes -H + 1e-12 I negative definite, so the Cholesky factorization fails
-    monkeypatch.setattr(maxwellian_solver, "_hessian_from_spectrum",
-                        lambda state: np.eye(state.potential.basis.D))
+    # +I makes -H + 1e-12 I negative definite, so the Cholesky factorization
+    # fails; a NaN entry must fail it too, where np.linalg.cholesky would
+    # return a NaN factor and a NaN slope would slip past the slope test
     state = _state_off_solution(b4)
     g = state.grad_coeffs
-    d, slope = maxwellian_solver._ascent_direction(state)
-    assert np.array_equal(d, g)
-    assert slope == float(g @ g)
+    for hessian in (np.eye, _with_nan_entry):
+        monkeypatch.setattr(maxwellian_solver, "_hessian_from_spectrum",
+                            lambda state: hessian(state.potential.basis.D))
+        d, slope = maxwellian_solver._ascent_direction(state)
+        assert np.array_equal(d, g)
+        assert slope == float(g @ g)
 
 
 def test_duality_gap_bounds(roundtrip8):
