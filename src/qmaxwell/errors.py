@@ -37,8 +37,11 @@ class MaxIterExceeded(SolverError):
 class BasisTooSmall(SolverError):
     """The constraint is not representable at the current mode cutoff.
 
-    ``suggested_modes`` is the smallest cutoff whose spectral tail of the
-    target density falls below the requested tolerance.
+    Raised when the dual ascent reaches its rounding floor with the
+    residual's in-basis part within tolerance and its out-of-basis part
+    above it.  ``suggested_modes`` is the smallest cutoff above M beyond
+    which that measured residual carries at most the tolerance: a lower
+    estimate, since the solve at a larger cutoff may suggest again.
     """
 
     def __init__(self, message, suggested_modes, report=None, potential=None):

@@ -309,6 +309,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="qmaxwell",
                      description="Inverse chemical-potential solver on the torus")
@@ -334,7 +344,7 @@ def _build_parser():
     p_verify = sub.add_parser("verify", help="solve, then run the inequality suite")
     common(p_verify)
     p_verify.add_argument("--density", required=True)
-    p_verify.add_argument("--samples", type=int, default=200)
+    p_verify.add_argument("--samples", type=_positive_int, default=200)
     p_verify.add_argument("--seed", type=int, default=0, metavar="U64")
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--out", required=True)

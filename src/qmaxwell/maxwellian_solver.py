@@ -8,8 +8,15 @@ The algorithm is damped Newton ascent on the concave dual
 whose gradient is the constraint residual n[exp(-(H+A))] - n, with an
 Armijo backtracking guard.  Each Newton step is one Cholesky solve of
 -Hess J + 1e-12 I; the step falls back to the gradient when that
-factorization fails or the slope is not positive.  The penalized
-continuation path minimizes
+factorization fails or the slope is not positive.  Once the gain the
+Armijo test asks for is below the rounding slack of J, the full step is
+accepted iff it shrinks the coefficient gradient P(n[rho] - n), P the
+projection onto the basis: the part of the residual the dual controls.  A
+full step that cannot shrink it marks the dual's rounding floor.  There
+BasisTooSmall is raised when the residual's in-basis part is within
+tol_l2 and its out-of-basis part is not; any other floor goes on to the
+backtracking search and, if the budget runs out, MaxIterExceeded.  The
+penalized continuation path minimizes
 
     F_eps(rho) = F(rho) + (1/2 eps) ||n[rho] - n||_L2^2
 
@@ -17,7 +24,7 @@ along a descending eps schedule.  Each penalized minimizer is the Gibbs
 state of the maximizer A_eps of the strictly concave dual
 J_eps(A) = J(A) - (eps/2)||A||_L2^2, and the same Newton ascent serves
 both duals: at eps > 0 it stops on the in-basis defect
-||a - P(n[rho] - n)/eps||, P the projection onto the basis.
+||a - P(n[rho] - n)/eps||.
 """
 
 from __future__ import annotations
@@ -76,7 +83,11 @@ class SolverOptions:
     def __post_init__(self):
         if self.tol_l2 <= 0.0:
             raise ValueError("tol_l2 must be > 0")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
         sched = tuple(float(e) for e in self.epsilon_schedule)
+        if not sched:
+            raise ValueError("epsilon schedule must not be empty")
         if any(e <= 0.0 for e in sched) or any(a <= b for a, b in zip(sched, sched[1:])):
             raise ValueError("epsilon schedule must be strictly descending and positive")
         object.__setattr__(self, "epsilon_schedule", sched)
@@ -119,18 +130,21 @@ def _initial_coefficients(basis: SpectralBasis, n: DensityProfile):
     return basis.project(-np.log(n.values) + np.log(z0))
 
 
-def _density_tail(n: DensityProfile, cutoff: int) -> float:
-    k, mag2 = _grid_spectrum(n.values)
-    return float(np.sqrt(np.sum(mag2[k > cutoff])))
-
-
-def _suggest_modes(n: DensityProfile, tol: float) -> int:
-    k, mag2 = _grid_spectrum(n.values)
+def _suggest_modes(residual, M: int, tol: float) -> int:
+    """Smallest cutoff above M beyond which ``residual`` carries at most ``tol``."""
+    k, mag2 = _grid_spectrum(residual)
     tails = np.sqrt(np.cumsum(mag2[::-1])[::-1])
-    for cutoff in range(n.basis.M + 1, k[-1] + 1):
+    for cutoff in range(M + 1, k[-1] + 1):
         if cutoff + 1 >= tails.size or tails[cutoff + 1] <= tol:
             return cutoff
     return int(k[-1])
+
+
+def _residual_split(state: GibbsState):
+    """(in-basis, out-of-basis) L2 norms of n[rho] - n at eps = 0, split by
+    Parseval: the basis is orthonormal and the quadrature exact."""
+    inside = float(np.linalg.norm(state.grad_coeffs))
+    return inside, float(np.sqrt(max(state.residual_l2**2 - inside**2, 0.0)))
 
 
 def _stopping_measure(state: GibbsState, eps: float) -> float:
@@ -179,49 +193,48 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
                  eta: float = 0.0, initial=None):
     """Damped Newton ascent on J_eps (J at eps = 0) from ``initial`` or the
     semiclassical guess; returns (state, history) once the stopping measure
-    is within tol_l2.  ``eta`` only selects the entropy of a failure's report."""
+    is within tol_l2.  Raises BasisTooSmall at a rounding floor the basis
+    causes (eps = 0 only) and MaxIterExceeded when the budget runs out.
+    ``eta`` only selects the entropy of a failure's report."""
     basis = n.basis
     a0 = _initial_coefficients(basis, n) if initial is None else initial
     state = _evaluate(n, a0, eps)
     history = []
-    # stall detection watches the projected residual, the part the dual
-    # variables control; the full residual legitimately lags behind it
-    recent = [float(np.linalg.norm(state.grad_coeffs))]
     for iteration in range(opts.max_iter):
         if _stopping_measure(state, eps) <= opts.tol_l2:
             state, extra = _refine_once(n, state, eps)
             history.extend(extra)
             return state, history
-        # J_eps is strictly concave for eps > 0, so only J can stall on the basis
-        if eps == 0.0 and len(recent) >= 6 and recent[-1] > 0.99 * recent[-6]:
-            tail = _density_tail(n, basis.M)
-            if tail > opts.tol_l2:
-                modes = _suggest_modes(n, opts.tol_l2)
-                raise BasisTooSmall(
-                    f"residual stalled at {state.residual_l2:.3e} while the density "
-                    f"carries {tail:.3e} beyond wavenumber {basis.M}; "
-                    f"retry with at least M = {modes}",
-                    suggested_modes=modes,
-                    report=_solution(state, history, n)[1],
-                    potential=state.potential)
         d, slope = _ascent_direction(state, eps)
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
         alpha = 1.0
         trial = _evaluate(n, state.potential.coefficients + d, eps)
-        # a predicted gain below the slack is rounding noise in J: the full
-        # step of the quadratic tail is then judged by the stopping measure
-        tail_step = (slope <= fp_slack
-                     and _stopping_measure(trial, eps) < _stopping_measure(state, eps))
-        while not (tail_step or _rises_by(trial, state, ARMIJO_C * alpha * slope - fp_slack)):
+        # once the gain Armijo asks for is rounding noise in J it certifies
+        # nothing: the full step is judged by the gradient the dual controls,
+        # and a full step that cannot shrink it marks the dual's rounding floor
+        unresolved = ARMIJO_C * slope <= fp_slack
+        g_norm = np.linalg.norm(state.grad_coeffs)
+        full_step = unresolved and np.linalg.norm(trial.grad_coeffs) < g_norm
+        if unresolved and not full_step and eps == 0.0:
+            inside, outside = _residual_split(state)
+            if inside <= opts.tol_l2 < outside:
+                modes = _suggest_modes(state.residual, basis.M, opts.tol_l2)
+                raise BasisTooSmall(
+                    f"in-basis residual at its rounding floor {inside:.3e} while "
+                    f"{outside:.3e} lies beyond wavenumber {basis.M}; "
+                    f"retry with at least M = {modes}",
+                    suggested_modes=modes,
+                    report=_solution(state, history, n)[1],
+                    potential=state.potential)
+        while not (full_step or _rises_by(trial, state, ARMIJO_C * alpha * slope - fp_slack)):
             alpha *= ARMIJO_SHRINK
             if alpha < 1e-14:
                 break
             trial = _evaluate(n, state.potential.coefficients + alpha * d, eps)
         if np.isfinite(trial.objective):  # an exhausted search never moves to NaN or inf
             state = trial
-        recent.append(float(np.linalg.norm(state.grad_coeffs)))
         history.append(HistoryEntry(residual=state.residual_l2, step_size=alpha,
                                     objective=state.objective))
         log.debug("iter %d: residual %.3e, step %.3e, J %.12g",
@@ -230,9 +243,11 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
     if error <= opts.tol_l2:
         return state, history
     measure = f"penalized (epsilon={eps:g}) in-basis defect" if eps > 0.0 else "residual"
+    where = "" if eps > 0.0 else (
+        f"; {_residual_split(state)[1]:.3e} of it lies beyond wavenumber {basis.M}")
     raise MaxIterExceeded(
         f"{measure} {error:.3e} above tolerance {opts.tol_l2:.1e} "
-        f"after {opts.max_iter} iterations",
+        f"after {opts.max_iter} iterations{where}",
         report=_solution(state, history, n, eps, eta)[1], potential=state.potential)
 
 

@@ -382,6 +382,11 @@ def test_cli_usage_errors(tmp_path):
     # solve has one method; every required flag is present here
     assert run_cli("solve", "--density", str(tmp_path / "n.csv"), "--modes", "4",
                    "--out", str(tmp_path / "r.json"), "--method", "dual_newton") == 64
+    # a sample count below 1 is refused before any solve
+    for samples in ("0", "-3"):
+        assert run_cli("verify", "--density", str(tmp_path / "n.csv"), "--modes", "4",
+                       "--samples", samples, "--out", str(tmp_path / "v.json")) == 64
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_cli_input_errors(tmp_path, capsys):
@@ -396,6 +401,14 @@ def test_cli_input_errors(tmp_path, capsys):
                    "--out", str(tmp_path / "r.json")) == 3
     assert run_cli("forward", "--potential", "tan(x)", "--modes", "4",
                    "--out", str(tmp_path / "n.csv")) == 3
+    # solver options are validated: a negative budget, an empty schedule
+    good = tmp_path / "good.csv"
+    write_density(good, np.ones(32))
+    assert run_cli("solve", "--density", str(good), "--modes", "4", "--max-iter", "-5",
+                   "--out", str(tmp_path / "r.json")) == 3
+    assert run_cli("sweep-epsilon", "--density", str(good), "--modes", "4",
+                   "--schedule", ",,", "--out", str(tmp_path / "s.csv")) == 3
+    assert not (tmp_path / "s.csv").exists()
     # exp(-(H+A)) overflows: reported as such, not as a failed eigensolve
     capsys.readouterr()
     assert run_cli("forward", "--potential", "-800", "--modes", "4",

@@ -145,16 +145,77 @@ def test_max_iterations_carries_report(b4):
     assert info.value.report.residual_l2 > 1e-9
 
 
-def test_basis_too_small_detection():
-    b1 = qm.build_basis(1)
-    n = qm.DensityProfile(b1, 1.0 + 0.5 * np.cos(6 * np.pi * b1.grid))
+def _hard_density(x):
+    return 1e-4 + np.exp(-200.0 * (x - 0.5) ** 2)
+
+
+# (mode cutoff M, density, least acceptable suggestion)
+_TOO_SMALL = {
+    "cos6-M1": (1, lambda x: 1.0 + 0.5 * np.cos(6 * np.pi * x), 3),
+    "hard-M16": (16, _hard_density, 17),
+    "hard-M24": (24, _hard_density, 25),
+    # near the floor the Newton slope (1.1e-14) exceeds J's rounding slack
+    # (6.2e-15) while the Armijo gain it asks for does not; judging that full
+    # step by Armijo backtracks to alpha ~ 4e-12 and repeats it until the
+    # budget runs out
+    "wide-M32": (32, lambda x: 1e-2 + np.exp(-50.0 * (x - 0.5) ** 2), 33),
+}
+
+
+@pytest.mark.parametrize("M, density, least", _TOO_SMALL.values(), ids=_TOO_SMALL.keys())
+def test_basis_too_small_detection(M, density, least):
+    basis = qm.build_basis(M)
+    n = qm.DensityProfile(basis, density(basis.grid))
+    opts = qm.SolverOptions(max_iter=200)
     with pytest.raises(BasisTooSmall) as info:
-        qm.solve_maxwellian(n)
-    assert info.value.suggested_modes >= 3
+        qm.solve_maxwellian(n, opts)
+    assert info.value.suggested_modes >= least
     report = info.value.report
     assert report is not None
-    assert report.residual_l2 > qm.SolverOptions().tol_l2
-    assert info.value.potential.basis is b1
+    assert report.iterations <= 40
+    assert report.residual_l2 > opts.tol_l2
+    assert info.value.potential.basis is basis
+    # raised at the dual's rounding floor: what the basis can represent is met
+    residual = GibbsState(info.value.potential, n).residual
+    assert np.linalg.norm(basis.project(residual)) <= opts.tol_l2
+    assert "beyond wavenumber" in str(info.value)
+
+
+def test_basis_too_small_retry_converges():
+    # each suggestion is a measured lower estimate, so a retry may suggest again
+    M, opts = 16, qm.SolverOptions(max_iter=200)
+    for _ in range(6):
+        basis = qm.build_basis(M)
+        try:
+            _, _, report = qm.solve_maxwellian(
+                qm.DensityProfile(basis, _hard_density(basis.grid)), opts)
+        except BasisTooSmall as exc:
+            assert exc.suggested_modes > M
+            M = exc.suggested_modes
+            continue
+        assert report.residual_l2 <= opts.tol_l2
+        return
+    pytest.fail(f"no convergence within 6 solves, last M = {M}")
+
+
+def test_scaled_density_is_not_blamed_on_basis(b8):
+    # 1e100 n[exp(-(H + cos 2 pi x))] is exactly representable at M = 8; the
+    # absolute tolerance may exhaust the budget, but the basis is not at fault
+    _, n = forward(b8, lambda x: np.cos(2 * np.pi * x))
+    try:
+        qm.solve_maxwellian(qm.DensityProfile(b8, 1e100 * n.values))
+    except MaxIterExceeded:
+        pass
+
+
+def test_max_iterations_names_out_of_basis_residual(b8):
+    # the Newton matrix is nearly singular (condition ~4e15) and J still rises
+    # at the end of the budget: not a rounding floor, but the message still
+    # splits off what the basis cannot represent
+    n = qm.DensityProfile(b8, 1e-6 + np.exp(-400.0 * (b8.grid - 0.5) ** 2))
+    with pytest.raises(MaxIterExceeded) as info:
+        qm.solve_maxwellian(n, qm.SolverOptions(max_iter=200))
+    assert "beyond wavenumber 8" in str(info.value)
 
 
 # potentials c0 + sum_k a_k cos 2 pi k x + b_k sin 2 pi k x with large amplitudes
@@ -193,6 +254,10 @@ def test_options_validation():
         qm.SolverOptions(tol_l2=0.0)
     with pytest.raises(ValueError):
         qm.SolverOptions(epsilon_schedule=(1e-2, 1e-1))
+    with pytest.raises(ValueError):
+        qm.SolverOptions(max_iter=-5)
+    with pytest.raises(ValueError):
+        qm.SolverOptions(epsilon_schedule=())
 
 
 # ---------------------------------------------------------------------------
