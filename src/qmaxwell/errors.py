@@ -41,7 +41,9 @@ class BasisTooSmall(SolverError):
     residual's in-basis part within tolerance and its out-of-basis part
     above it.  ``suggested_modes`` is the smallest cutoff above M beyond
     which that measured residual carries at most the tolerance: a lower
-    estimate, since the solve at a larger cutoff may suggest again.
+    estimate, since the solve at a larger cutoff may suggest again.  When
+    no cutoff below the grid's Nyquist wavenumber does, it is that
+    wavenumber, and the message says it is the grid's cap.
     """
 
     def __init__(self, message, suggested_modes, report=None, potential=None):

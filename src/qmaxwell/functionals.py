@@ -1,5 +1,6 @@
 """Free energy, its penalized/regularized variants, the dual functional,
-and validators for the exact operator inequalities used by the test suite.
+and validators for the exact operator inequalities that ``verify`` and the
+test suite check, each one kernel over stacks of operators.
 
 The free energy of a density operator is
 
@@ -17,7 +18,7 @@ which the dual, its derivatives, gibbs_from_potential and the solver share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +29,10 @@ from .spectral_core import (
     SpectralBasis,
     _check_same_basis,
     _checked_clamped_spectrum,
+    _checked_spectra,
+    _energy_traces,
     _multiplication_matrix,
+    _spectral_entropy,
     assemble_hamiltonian_plus_potential,
     density_of,
     energy_trace,
@@ -240,25 +244,14 @@ def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float
 def validate_lieb(rho: DensityOperator) -> InequalityReport:
     """Pairing bound: sum of rho's eigenvalues (descending) against H's
     (ascending) is at most the kinetic trace.  gap = rhs - lhs >= 0."""
-    lam = rho.eigenvalues[::-1]
-    mu = np.sort(rho.basis.h_eigenvalues)
-    lhs = float(lam @ mu)
-    rhs = energy_trace(rho)
-    return InequalityReport(name="lieb", lhs=lhs, rhs=rhs, gap=rhs - lhs,
-                            holds=bool(lhs <= rhs + 1e-10 * (1.0 + rhs)))
+    return _lieb(rho.basis, rho.matrix[None], rho.eigenvalues[None]).report(0)
 
 
 def validate_peierls(rho: DensityOperator, basis_rotation) -> InequalityReport:
     """Peierls: sum of beta over diagonal entries in any orthonormal frame is
     at most Tr beta(rho).  gap = rhs - lhs >= 0."""
     R = np.asarray(basis_rotation, dtype=float)
-    if np.max(np.abs(R.T @ R - np.eye(R.shape[0]))) > 1e-10:
-        raise ValueError("rotation is not orthogonal within 1e-10")
-    diag = np.maximum(np.diag(R.T @ rho.matrix @ R), 0.0)
-    lhs = float(np.sum(diag * np.log(np.where(diag > 0, diag, 1.0)) - diag))
-    rhs = entropy_trace(rho, 0.0)
-    return InequalityReport(name="peierls", lhs=lhs, rhs=rhs, gap=rhs - lhs,
-                            holds=bool(lhs <= rhs + 1e-10 * (1.0 + abs(rhs))))
+    return _peierls(rho.matrix[None], rho.eigenvalues[None], R[None]).report(0)
 
 
 def entropy_lower_bound_ratio(rho: DensityOperator):
@@ -300,15 +293,8 @@ def convexity_probe(rho1: DensityOperator, rho2: DensityOperator,
     """Entropy convexity along the segment; gap = rhs - lhs >= 0, with
     ``strict`` set when the operators are distinguishable and the gap is."""
     _check_same_basis(rho1.basis, rho2.basis)
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie strictly inside (0, 1)")
-    mix = DensityOperator(rho1.basis, t * rho1.matrix + (1.0 - t) * rho2.matrix)
-    lhs = entropy_trace(mix, 0.0)
-    rhs = t * entropy_trace(rho1, 0.0) + (1.0 - t) * entropy_trace(rho2, 0.0)
-    distinct = float(np.linalg.norm(rho1.matrix - rho2.matrix)) > 1e-8
-    return InequalityReport(name="convexity", lhs=lhs, rhs=rhs, gap=rhs - lhs,
-                            holds=bool(lhs <= rhs + 1e-10),
-                            strict=bool(distinct and rhs - lhs > 1e-12))
+    return _convexity(rho1.matrix[None], rho1.eigenvalues[None], rho2.matrix[None],
+                      rho2.eigenvalues[None], np.array([t], dtype=float)).report(0)
 
 
 def eigenvalue_perturbation_check(rho1: DensityOperator,
@@ -316,7 +302,78 @@ def eigenvalue_perturbation_check(rho1: DensityOperator,
     """Weyl-type bound: eigenvalue sup-distance is at most the J1 distance.
     gap = rhs - lhs >= 0."""
     _check_same_basis(rho1.basis, rho2.basis)
-    lhs = float(np.max(np.abs(rho1.eigenvalues - rho2.eigenvalues)))
-    rhs = trace_norm(rho1.matrix - rho2.matrix)
-    return InequalityReport(name="eigenvalue_perturbation", lhs=lhs, rhs=rhs,
-                            gap=rhs - lhs, holds=bool(lhs <= rhs + 1e-10))
+    return _perturbation(rho1.matrix[None], rho1.eigenvalues[None],
+                         rho2.matrix[None], rho2.eigenvalues[None]).report(0)
+
+
+# Each validator above is one stacked kernel below, applied to a stack of
+# one.  A kernel takes density matrices (s, D, D) with the spectra (s, D)
+# that spectral_core._checked_spectra returned for them, and returns one
+# InequalityStack.  Reductions whose stacked form rounds differently from
+# the 2-D call (dot products, the Frobenius norm) run per slice.
+
+@dataclass(frozen=True)
+class InequalityStack:
+    """One inequality over s samples: arrays lhs, rhs, holds (and strict)."""
+
+    name: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
+    strict: np.ndarray | None = None
+
+    def report(self, i: int) -> InequalityReport:
+        """Sample i's report, gap = rhs - lhs."""
+        return InequalityReport(
+            name=self.name, lhs=float(self.lhs[i]), rhs=float(self.rhs[i]),
+            gap=float(self.rhs[i] - self.lhs[i]), holds=bool(self.holds[i]),
+            strict=None if self.strict is None else bool(self.strict[i]))
+
+    def worst(self) -> InequalityReport:
+        """The smallest-gap sample (first on ties), holding iff every sample does."""
+        worst = self.report(int(np.argmin(self.rhs - self.lhs)))
+        return replace(worst, holds=bool(np.all(self.holds)))
+
+    @classmethod
+    def concatenate(cls, stacks):
+        def joined(attr):
+            parts = [getattr(st, attr) for st in stacks]
+            return None if parts[0] is None else np.concatenate(parts)
+
+        return cls(stacks[0].name, *(joined(a) for a in ("lhs", "rhs", "holds", "strict")))
+
+
+def _lieb(basis: SpectralBasis, matrices, eigenvalues) -> InequalityStack:
+    mu = np.sort(basis.h_eigenvalues)
+    lhs = np.array([lam @ mu for lam in eigenvalues[:, ::-1]])
+    rhs = _energy_traces(basis, matrices)
+    return InequalityStack("lieb", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + rhs))
+
+
+def _peierls(matrices, eigenvalues, rotations) -> InequalityStack:
+    Rt = np.swapaxes(rotations, -1, -2)
+    eye = np.eye(rotations.shape[-1])
+    if np.any(np.max(np.abs(Rt @ rotations - eye), axis=(-2, -1)) > 1e-10):
+        raise ValueError("rotation is not orthogonal within 1e-10")
+    diag = np.maximum(np.diagonal(Rt @ matrices @ rotations, axis1=-2, axis2=-1), 0.0)
+    lhs = np.sum(diag * np.log(np.where(diag > 0, diag, 1.0)) - diag, axis=-1)
+    rhs = _spectral_entropy(eigenvalues)
+    return InequalityStack("peierls", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + np.abs(rhs)))
+
+
+def _convexity(matrices1, eigenvalues1, matrices2, eigenvalues2, t) -> InequalityStack:
+    if not np.all((0.0 < t) & (t < 1.0)):
+        raise ValueError("t must lie strictly inside (0, 1)")
+    ts = t[:, None, None]
+    lhs = _spectral_entropy(_checked_spectra(ts * matrices1 + (1.0 - ts) * matrices2))
+    rhs = t * _spectral_entropy(eigenvalues1) + (1.0 - t) * _spectral_entropy(eigenvalues2)
+    distinct = np.array([np.linalg.norm(m1 - m2)
+                         for m1, m2 in zip(matrices1, matrices2)]) > 1e-8
+    return InequalityStack("convexity", lhs, rhs, lhs <= rhs + 1e-10,
+                           strict=distinct & (rhs - lhs > 1e-12))
+
+
+def _perturbation(matrices1, eigenvalues1, matrices2, eigenvalues2) -> InequalityStack:
+    lhs = np.max(np.abs(eigenvalues1 - eigenvalues2), axis=-1)
+    rhs = trace_norm(matrices1 - matrices2)
+    return InequalityStack("eigenvalue_perturbation", lhs, rhs, lhs <= rhs + 1e-10)

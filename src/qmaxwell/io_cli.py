@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -33,21 +34,14 @@ from .errors import (
     PotentialExprError,
     QMaxwellError,
 )
-from .maxwellian_solver import (
-    SolverOptions,
-    epsilon_sweep,
-    euler_lagrange_residual,
-    reconstruct_potential_form,
-    solve_maxwellian,
-)
+from .inequalities import run_inequality_suite
+from .maxwellian_solver import SolverOptions, epsilon_sweep, solve_maxwellian
 from .spectral_core import (
     ChemicalPotential,
-    DensityOperator,
     DensityProfile,
     SpectralBasis,
     build_basis,
     density_of,
-    sobolev_norm,
 )
 
 __all__ = [
@@ -243,61 +237,6 @@ def parse_report(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# inequality suite backing `verify`
-
-def _random_psd(rng, basis) -> DensityOperator:
-    B = rng.standard_normal((basis.D, basis.D))
-    return DensityOperator(basis, B @ B.T / basis.D)
-
-
-def _haar_rotation(rng, D):
-    Q, R = np.linalg.qr(rng.standard_normal((D, D)))
-    return Q * np.sign(np.diag(R))
-
-
-def _worst(reports):
-    worst = min(reports, key=lambda r: r.gap)
-    all_hold = all(r.holds for r in reports)
-    return dataclasses.replace(worst, holds=all_hold)
-
-
-def run_inequality_suite(basis, A, rho, n, report, opts, samples, seed):
-    """Seeded randomized suite; each entry records its worst-case instance."""
-    rng = np.random.default_rng(seed)
-    out = []
-    out.append(_worst([fn.validate_lieb(_random_psd(rng, basis))
-                       for _ in range(samples)]))
-    out.append(_worst([fn.validate_peierls(_random_psd(rng, basis),
-                                           _haar_rotation(rng, basis.D))
-                       for _ in range(samples)]))
-    out.append(_worst([fn.convexity_probe(_random_psd(rng, basis),
-                                          _random_psd(rng, basis),
-                                          rng.uniform(0.1, 0.9))
-                       for _ in range(samples)]))
-    out.append(_worst([fn.eigenvalue_perturbation_check(_random_psd(rng, basis),
-                                                        _random_psd(rng, basis))
-                       for _ in range(samples)]))
-    el = euler_lagrange_residual(rho, A)
-    el_bound = 10.0 * opts.tol_l2 * (1.0 + rho.trace)
-    out.append(fn.InequalityReport(name="euler_lagrange_residual", lhs=el,
-                                   rhs=el_bound, gap=el_bound - el,
-                                   holds=bool(el <= el_bound)))
-    a_grid = A.on_grid()
-    worst_diff = 0.0
-    for p in range(basis.D):
-        psi = basis.functions[p]
-        direct = basis.quadrature(a_grid * psi)
-        worst_diff = max(worst_diff,
-                         abs(reconstruct_potential_form(rho, n, psi) - direct))
-    rec_bound = 1e-6 * (1.0 + sobolev_norm(a_grid, 0))
-    out.append(fn.InequalityReport(name="potential_reconstruction", lhs=worst_diff,
-                                   rhs=rec_bound, gap=rec_bound - worst_diff,
-                                   holds=bool(worst_diff <= rec_bound)))
-    out.append(fn.log_sobolev_gap(rho))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 class _UsageError(Exception):
@@ -319,7 +258,9 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The CLI's parser, built on first use; parse_args leaves it unchanged."""
     parser = _Parser(prog="qmaxwell",
                      description="Inverse chemical-potential solver on the torus")
     sub = parser.add_subparsers(dest="command")

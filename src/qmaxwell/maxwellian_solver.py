@@ -130,14 +130,16 @@ def _initial_coefficients(basis: SpectralBasis, n: DensityProfile):
     return basis.project(-np.log(n.values) + np.log(z0))
 
 
-def _suggest_modes(residual, M: int, tol: float) -> int:
-    """Smallest cutoff above M beyond which ``residual`` carries at most ``tol``."""
+def _suggest_modes(residual, M: int, tol: float) -> int | None:
+    """Smallest cutoff above M beyond which ``residual`` carries at most
+    ``tol``, or None when only the grid's Nyquist wavenumber does: that is
+    the grid's cap, not a measurement."""
     k, mag2 = _grid_spectrum(residual)
     tails = np.sqrt(np.cumsum(mag2[::-1])[::-1])
-    for cutoff in range(M + 1, k[-1] + 1):
-        if cutoff + 1 >= tails.size or tails[cutoff + 1] <= tol:
+    for cutoff in range(M + 1, k[-1]):
+        if tails[cutoff + 1] <= tol:
             return cutoff
-    return int(k[-1])
+    return None
 
 
 def _residual_split(state: GibbsState):
@@ -221,10 +223,15 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
             inside, outside = _residual_split(state)
             if inside <= opts.tol_l2 < outside:
                 modes = _suggest_modes(state.residual, basis.M, opts.tol_l2)
+                advice = f"retry with at least M = {modes}"
+                if modes is None:
+                    modes = basis.N // 2
+                    advice = (f"no cutoff below this {basis.N}-point grid's Nyquist "
+                              f"wavenumber {modes} brings it within tol_l2 = "
+                              f"{opts.tol_l2:.1e}; retry with at least M = {modes}")
                 raise BasisTooSmall(
                     f"in-basis residual at its rounding floor {inside:.3e} while "
-                    f"{outside:.3e} lies beyond wavenumber {basis.M}; "
-                    f"retry with at least M = {modes}",
+                    f"{outside:.3e} lies beyond wavenumber {basis.M}; {advice}",
                     suggested_modes=modes,
                     report=_solution(state, history, n)[1],
                     potential=state.potential)
@@ -373,8 +380,7 @@ def euler_lagrange_residual(rho: DensityOperator, A: ChemicalPotential) -> float
     return float(np.linalg.norm(X))
 
 
-def reconstruct_potential_form(rho: DensityOperator, n: DensityProfile,
-                               psi) -> float:
+def reconstruct_potential_form(rho: DensityOperator, n: DensityProfile, psi):
     """Linear form recovering integral of A psi from (rho, n) alone:
 
         (A, psi) = -Tr((psi/n) rho log rho)
@@ -382,22 +388,25 @@ def reconstruct_potential_form(rho: DensityOperator, n: DensityProfile,
 
     over the eigenpairs (lam_p, phi_p) of rho.  At rho = exp(-(H+A)) with
     n = n[rho] this equals integral of A psi for every periodic test psi.
+    ``psi`` is one grid function (N,), giving a float, or a stack (P, N),
+    giving P values from one eigendecomposition of rho.
     """
     basis = rho.basis
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != (basis.N,):
+    if psi.ndim not in (1, 2) or psi.shape[-1] != basis.N:
         raise ValueError(f"psi must be sampled on the {basis.N}-point grid")
-    g = psi / n.values
+    g = (psi / n.values)[..., None, :]
     lam, V = np.linalg.eigh(rho.matrix)
     lam = np.maximum(lam, 0.0)
     keep = lam > 1e-250
     lam = lam[keep]
     phi = V.T[keep] @ basis.functions          # eigenfunction values
     dphi = V.T[keep] @ basis.derivatives
-    term1 = float(np.sum(_xlogx(lam) * np.mean(g * phi**2, axis=1)))
+    term1 = np.sum(_xlogx(lam) * np.mean(g * phi**2, axis=-1), axis=-1)
     w_prime = spectral_derivative(g * phi)
-    term2 = float(np.sum(lam * np.mean(dphi * w_prime, axis=1)))
-    return -term1 - term2
+    term2 = np.sum(lam * np.mean(dphi * w_prime, axis=-1), axis=-1)
+    form = -term1 - term2
+    return float(form) if psi.ndim == 1 else form
 
 
 def fourier_decay_diagnostic(A: ChemicalPotential):

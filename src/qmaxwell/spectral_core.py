@@ -132,6 +132,27 @@ def _check_same_basis(a: SpectralBasis, b: SpectralBasis):
         raise BasisMismatch(f"bases differ: (M={a.M}, N={a.N}) vs (M={b.M}, N={b.N})")
 
 
+def _checked_spectra(matrices) -> np.ndarray:
+    """Ascending spectra, shape (s, D), of a stack (s, D, D) of density
+    operator matrices, once every slice is symmetric within SYMMETRY_TOL and
+    PSD within PSD_TOL; raises if any slice is not.
+
+    Every :class:`DensityOperator` runs this check as a stack of one.
+    """
+    m = np.asarray(matrices, dtype=float)
+    scale = 1.0 + np.abs(m).max(axis=(-2, -1))
+    asym = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1))
+    if (asym > SYMMETRY_TOL * scale).any():
+        raise ValueError("density operator matrix is not symmetric within tolerance")
+    lam = np.linalg.eigvalsh(m)
+    lam_min = lam[:, 0]
+    below = lam_min < -PSD_TOL * (np.abs(m.trace(axis1=-2, axis2=-1)) + 1.0)
+    if below.any():
+        raise NotPositiveSemidefinite(
+            f"smallest eigenvalue {lam_min[below][0]:.3e} below PSD tolerance")
+    return lam
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """PSD symmetric coefficient matrix rho_pq = (e_p, rho e_q); ``eigenvalues``
@@ -147,15 +168,7 @@ class DensityOperator:
         D = self.basis.D
         if m.shape != (D, D):
             raise ValueError(f"matrix shape {m.shape} incompatible with D={D}")
-        scale = 1.0 + np.max(np.abs(m)) if m.size else 1.0
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
-            raise ValueError("density operator matrix is not symmetric within tolerance")
-        lam = np.linalg.eigvalsh(m)
-        object.__setattr__(self, "eigenvalues", lam)
-        lam_min = float(lam[0])
-        if lam_min < -PSD_TOL * (abs(np.trace(m)) + 1.0):
-            raise NotPositiveSemidefinite(
-                f"smallest eigenvalue {lam_min:.3e} below PSD tolerance")
+        object.__setattr__(self, "eigenvalues", _checked_spectra(m[None])[0])
 
     @property
     def trace(self) -> float:
@@ -302,7 +315,14 @@ def kernel_eval(rho: DensityOperator, x, y) -> float:
 
 def energy_trace(rho: DensityOperator) -> float:
     """Kinetic trace Tr(sqrt(H) rho sqrt(H)) = sum_p mu_p rho_pp (H is diagonal)."""
-    return float(rho.basis.h_eigenvalues @ np.diag(rho.matrix))
+    return float(_energy_traces(rho.basis, rho.matrix[None])[0])
+
+
+def _energy_traces(basis: SpectralBasis, matrices) -> np.ndarray:
+    """:func:`energy_trace` of each slice of a stack (s, D, D).  One dot
+    product per slice: a stacked matrix-vector product rounds differently."""
+    mu = basis.h_eigenvalues
+    return np.array([mu @ np.diag(m) for m in matrices])
 
 
 def _as_matrix(op):
@@ -310,8 +330,10 @@ def _as_matrix(op):
 
 
 def trace_norm(op) -> float:
-    """J1 norm: sum of absolute eigenvalues of a symmetric matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(_as_matrix(op)))))
+    """J1 norm: sum of absolute eigenvalues of a symmetric matrix, or an
+    array of them for a stack (s, D, D)."""
+    norms = np.sum(np.abs(np.linalg.eigvalsh(_as_matrix(op))), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def hs_norm(op) -> float:
@@ -396,4 +418,9 @@ def entropy_trace(rho: DensityOperator, eta: float = 0.0) -> float:
     Reads the spectrum the constructor computed and checked for PSD."""
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
-    return float(np.sum(_beta_eta(np.maximum(rho.eigenvalues, 0.0), eta)))
+    return float(_spectral_entropy(rho.eigenvalues, eta))
+
+
+def _spectral_entropy(eigenvalues, eta: float = 0.0):
+    """Tr beta_eta over the last axis of checked spectra, negative rounding clamped to 0."""
+    return np.sum(_beta_eta(np.maximum(eigenvalues, 0.0), eta), axis=-1)

@@ -5,8 +5,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qmaxwell import ChemicalPotential, DensityOperator
-from qmaxwell.io_cli import _haar_rotation as haar_rotation  # the verify suite's draws
-from qmaxwell.io_cli import _random_psd
+from qmaxwell.inequalities import haar_rotation  # the verify suite's draws
+from qmaxwell.inequalities import random_psd as _random_psd
 
 
 def random_psd(rng, basis, floor=0.0):

@@ -20,6 +20,7 @@ from qmaxwell.errors import (
     NonUniformGrid,
     PotentialExprError,
 )
+from qmaxwell.inequalities import run_inequality_suite
 
 
 @pytest.fixture(scope="module")
@@ -215,8 +216,7 @@ def test_report_json_roundtrip(b4):
         qm.gibbs_from_potential(b4, io_cli.potential_from_expression("0.5*cos(2*pi*x)", b4))))
     opts = qm.SolverOptions()
     A, rho, report = qm.solve_maxwellian(n, opts)
-    inequalities = io_cli.run_inequality_suite(b4, A, rho, n, report, opts,
-                                               samples=10, seed=3)
+    inequalities = run_inequality_suite(b4, A, rho, n, report, opts, samples=10, seed=3)
     payload = io_cli.build_report_dict(b4, opts, report, A, qm.density_of(rho),
                                        inequalities)
     text = io_cli.serialize_report(payload)

@@ -181,6 +181,26 @@ def test_basis_too_small_detection(M, density, least):
     assert "beyond wavenumber" in str(info.value)
 
 
+def test_basis_too_small_names_the_grid_cap():
+    # the residual still exceeds tol_l2 beyond every cutoff below Nyquist on
+    # the 256-point grid: the suggestion is the grid's cap, and says so
+    M, density, _ = _TOO_SMALL["wide-M32"]
+    basis = qm.build_basis(M)
+    with pytest.raises(BasisTooSmall) as info:
+        qm.solve_maxwellian(qm.DensityProfile(basis, density(basis.grid)),
+                            qm.SolverOptions(max_iter=200))
+    assert info.value.suggested_modes == basis.N // 2 == 128
+    assert "no cutoff below this 256-point grid's Nyquist wavenumber 128" in str(info.value)
+    # a measured suggestion does not claim the cap
+    M, density, _ = _TOO_SMALL["hard-M16"]
+    basis = qm.build_basis(M)
+    with pytest.raises(BasisTooSmall) as info:
+        qm.solve_maxwellian(qm.DensityProfile(basis, density(basis.grid)),
+                            qm.SolverOptions(max_iter=200))
+    assert info.value.suggested_modes < basis.N // 2
+    assert "Nyquist" not in str(info.value)
+
+
 def test_basis_too_small_retry_converges():
     # each suggestion is a measured lower estimate, so a retry may suggest again
     M, opts = 16, qm.SolverOptions(max_iter=200)
@@ -435,6 +455,18 @@ def test_reconstruction_linearity(roundtrip8, b8):
     parts = qm.reconstruct_potential_form(rho, n, psi1) \
         + 2.0 * qm.reconstruct_potential_form(rho, n, psi2)
     assert combined == pytest.approx(parts, abs=1e-12)
+
+
+def test_reconstruction_stack_matches_single_calls(roundtrip8, b8):
+    # a stack of test functions shares one eigendecomposition of rho and
+    # rounds exactly as the one-function calls do
+    _, n, _, rho, _ = roundtrip8
+    psis = np.vstack([b8.functions, np.random.default_rng(4).standard_normal((3, b8.N))])
+    stacked = qm.reconstruct_potential_form(rho, n, psis)
+    assert stacked.shape == (psis.shape[0],)
+    assert list(stacked) == [qm.reconstruct_potential_form(rho, n, psi) for psi in psis]
+    with pytest.raises(ValueError):
+        qm.reconstruct_potential_form(rho, n, psis[None])
 
 
 # ---------------------------------------------------------------------------
