@@ -18,6 +18,7 @@ which the dual, its derivatives, gibbs_from_potential and the solver share.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,19 +173,20 @@ def dual_gradient(A: ChemicalPotential, n: DensityProfile) -> np.ndarray:
     return GibbsState(A, n).residual
 
 
-def _exp_divided_differences(lam):
-    """Phi_pq = (exp(-l_p) - exp(-l_q)) / (l_q - l_p), midpoint value on clusters.
+def _exp_divided_differences(lam, mu=None):
+    """Phi_pq = (exp(-l_p) - exp(-m_q)) / (m_q - l_p) for l = ``lam`` and
+    m = ``mu`` (default ``lam``), midpoint value on clusters.
 
-    The fallback exp(-(l_p+l_q)/2) avoids catastrophic cancellation on the
+    The fallback exp(-(l_p+m_q)/2) avoids catastrophic cancellation on the
     degenerate cos/sin pairs that symmetric densities produce.
     """
-    w = np.exp(-lam)
-    dl = lam[:, None] - lam[None, :]
-    tol = DEGENERACY_TOL * (1.0 + np.maximum(np.abs(lam)[:, None], np.abs(lam)[None, :]))
+    mu = lam if mu is None else mu
+    dl = lam[:, None] - mu[None, :]
+    tol = DEGENERACY_TOL * (1.0 + np.maximum(np.abs(lam)[:, None], np.abs(mu)[None, :]))
     separated = np.abs(dl) > tol
     denom = np.where(separated, -dl, 1.0)
-    phi = np.where(separated, (w[:, None] - w[None, :]) / denom,
-                   np.exp(-0.5 * (lam[:, None] + lam[None, :])))
+    phi = np.where(separated, (np.exp(-lam)[:, None] - np.exp(-mu)[None, :]) / denom,
+                   np.exp(-0.5 * (lam[:, None] + mu[None, :])))
     return phi
 
 
@@ -206,20 +208,45 @@ def _hessian_from_spectrum(state: GibbsState) -> np.ndarray:
     """Coefficient-space Hessian of J at ``state``; symmetric negative semidefinite.
 
     H_qr = -sum_ij W_qij Phi_ij W_rij with W_qij = integral of e_q phi_i phi_j;
-    W and H are one GEMM each over the grid.  Only active rows i
+    W and H are one GEMM each.  e_q phi_i phi_j has degree <= 3M, so W is
+    exact on the 3M+1-point product grid of the basis.  Only active rows i
     (exp(-lam_i) > 0) enter: when both weights underflow, Phi_ij is exactly
     0 in either branch of _exp_divided_differences, and by symmetry each
-    (active, inactive) pair counts twice.  The cost is O(k D^2 N) for k
-    active states.
+    (active, inactive) pair counts twice.  The cost is O(k D^2 (3M+1)) for
+    k active states.
     """
-    basis = state.potential.basis
+    E = state.potential.basis.product_functions
+    P = E.shape[1]
     k = int(np.count_nonzero(state.weights))
-    products = (state.phi[:k, None, :] * state.phi[None, :, :]).reshape(-1, basis.N)
-    W = basis.functions @ products.T / basis.N
-    coupling = _exp_divided_differences(state.lam)[:k]
+    phi = state.V.T @ E
+    products = (phi[:k, None, :] * phi[None, :, :]).reshape(-1, P)
+    W = E @ products.T / P
+    coupling = _exp_divided_differences(state.lam[:k], state.lam)
     coupling[:, k:] *= 2.0
     H = -(W * coupling.ravel()) @ W.T
     return 0.5 * (H + H.T)
+
+
+def _free_response(basis: SpectralBasis) -> np.ndarray:
+    """chi_q: -Hess J at A = 0 is diag(chi), and at a constant potential c
+    it is exp(-c) diag(chi)."""
+    return _free_chi(basis.M)[basis.wavenumbers()]
+
+
+@functools.cache
+def _free_chi(M: int) -> np.ndarray:
+    """chi(kappa) for wavenumbers kappa = 0..M, read-only and cached per M.
+
+    H has eigenfunctions exp(2 pi i m x), m = -M..M, so the response to a
+    potential of wavenumber kappa is chi(kappa) = sum_m Phi(mu_m, mu_{m+kappa})
+    over the pairs inside the basis, with mu_m = 4 pi^2 m^2; chi(0) is the
+    partition function Z0 = Tr exp(-H).
+    """
+    mu = (2.0 * np.pi * np.arange(-M, M + 1)) ** 2
+    phi = _exp_divided_differences(mu)
+    chi = np.array([np.trace(phi, offset=kappa) for kappa in range(M + 1)])
+    chi.setflags(write=False)
+    return chi
 
 
 def dual_hessian_matrix(A: ChemicalPotential) -> np.ndarray:

@@ -62,7 +62,7 @@ def _worst(samples, block):
     return fn.InequalityStack.concatenate([block(s) for s in sizes]).worst()
 
 
-def run_inequality_suite(basis, A, rho, n, report, opts, samples, seed):
+def run_inequality_suite(basis, A, rho, n, opts, samples, seed):
     """Seeded randomized suite; each entry records its worst-case instance."""
     rng = np.random.default_rng(seed)
     D = basis.D

@@ -6,7 +6,8 @@ report that round-trips losslessly (floats are written at full round-trip
 precision).  Exit codes: 0 success, 1 a failed ``verify`` inequality, 2
 iteration budget exhausted, 3 invalid input (including a mode cutoff too
 small for the density), 64 usage error.  ``solve`` and ``verify`` write
-the report for the last iterate on exit 2 and on a too-small basis as well.
+the report for the last iterate on exit 2 and on a too-small basis as well;
+``sweep-epsilon`` then writes the rows finished before the failed solve.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     QMaxwellError,
 )
 from .inequalities import run_inequality_suite
-from .maxwellian_solver import SolverOptions, epsilon_sweep, solve_maxwellian
+from .maxwellian_solver import SolverOptions, _sweep_rows, solve_maxwellian
 from .spectral_core import (
     ChemicalPotential,
     DensityProfile,
@@ -337,8 +338,8 @@ def _cmd_solve(args) -> int:
         code = EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
         achieved = fn.GibbsState(A).density
     if failure is None and args.command == "verify":
-        inequalities = run_inequality_suite(basis, A, rho, n, report, opts,
-                                            args.samples, args.seed)
+        inequalities = run_inequality_suite(basis, A, rho, n, opts, args.samples,
+                                            args.seed)
         if not all(r.holds for r in inequalities if not r.diagnostic):
             code = 1
     payload = build_report_dict(basis, opts, report, A, achieved, inequalities)
@@ -362,16 +363,17 @@ def _cmd_sweep(args) -> int:
         except ValueError:
             raise PotentialExprError(f"bad schedule {args.schedule!r}") from None
     opts = SolverOptions(**kwargs)
-    try:
-        rows = epsilon_sweep(n, opts)
-    except MaxIterExceeded as exc:
-        log.error("%s", exc)
-        return EXIT_MAXITER
+    # each row is written once its solve is done: a failed solve leaves the
+    # header and every row finished before it
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("epsilon,residual_l2,F_eps,A_dist_hminus1\n")
-        for row in rows:
-            fh.write(f"{float(row.epsilon)!r},{float(row.residual_l2)!r},"
-                     f"{float(row.f_eps)!r},{float(row.a_dist_hminus1)!r}\n")
+        try:
+            for row in _sweep_rows(n, opts):
+                fh.write(f"{float(row.epsilon)!r},{float(row.residual_l2)!r},"
+                         f"{float(row.f_eps)!r},{float(row.a_dist_hminus1)!r}\n")
+        except (MaxIterExceeded, BasisTooSmall) as exc:
+            log.error("%s", exc)
+            return EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
     return EXIT_OK
 
 

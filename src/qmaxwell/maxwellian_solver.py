@@ -6,17 +6,22 @@ The algorithm is damped Newton ascent on the concave dual
     J(A) = -Tr exp(-(H+A)) - integral of A n dx,
 
 whose gradient is the constraint residual n[exp(-(H+A))] - n, with an
-Armijo backtracking guard.  Each Newton step is one Cholesky solve of
--Hess J + 1e-12 I; the step falls back to the gradient when that
-factorization fails or the slope is not positive.  Once the gain the
-Armijo test asks for is below the rounding slack of J, the full step is
-accepted iff it shrinks the coefficient gradient P(n[rho] - n), P the
-projection onto the basis: the part of the residual the dual controls.  A
-full step that cannot shrink it marks the dual's rounding floor.  There
-BasisTooSmall is raised when the residual's in-basis part is within
-tol_l2 and its out-of-basis part is not; any other floor goes on to the
-backtracking search and, if the budget runs out, MaxIterExceeded.  The
-penalized continuation path minimizes
+Armijo backtracking guard.  Each Newton step solves with the dense
+matrix -Hess J + 1e-12 I once its Cholesky factorization shows it
+positive definite; the step falls back to the gradient when that
+factorization fails or the slope is not positive.  The first step from
+the semiclassical guess uses the diagonal Newton matrix of the uniform
+equilibrium instead, unless its gain is rounding noise in J, and the
+closing refinement is a chord step with the last dense matrix, so a
+smooth solve builds two dense matrices.  Once the gain the Armijo test
+asks for is below the rounding slack of J, the full step is accepted iff
+it shrinks the coefficient gradient P(n[rho] - n), P the projection onto
+the basis: the part of the residual the dual controls.  A full step that
+cannot shrink it marks the dual's rounding floor.  There BasisTooSmall
+is raised when the residual's in-basis part is within tol_l2 and its
+out-of-basis part is not; any other floor goes on to the backtracking
+search and, if the budget runs out, MaxIterExceeded.  The penalized
+continuation path minimizes
 
     F_eps(rho) = F(rho) + (1/2 eps) ||n[rho] - n||_L2^2
 
@@ -37,6 +42,7 @@ import numpy as np
 from .errors import BasisTooSmall, MaxIterExceeded, SingularDensityOperator
 from .functionals import (
     GibbsState,
+    _free_response,
     _hessian_from_spectrum,
     free_energy,
     penalized_free_energy,
@@ -160,30 +166,45 @@ def _stopping_measure(state: GibbsState, eps: float) -> float:
 
 
 def _newton_direction(state: GibbsState, shift: float, rhs):
-    """Solve (-Hess J + shift I) d = rhs at ``state`` by one Cholesky
-    factorization; LinAlgError when the shifted matrix is not finite or not
-    positive definite (np.linalg.cholesky lets a NaN entry through)."""
+    """(d, S): the solution d of S d = rhs for the Newton matrix
+    S = -Hess J + shift I at ``state``.  LinAlgError when S is not finite or
+    not positive definite: the Cholesky factorization is the test (it lets
+    a NaN entry through), one LU solve gives d."""
     S = -_hessian_from_spectrum(state)
     S[np.diag_indices_from(S)] += shift
     if not np.all(np.isfinite(S)):
         raise np.linalg.LinAlgError("Newton matrix is not finite")
-    L = np.linalg.cholesky(S)
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    np.linalg.cholesky(S)
+    return np.linalg.solve(S, rhs), S
 
 
 def _ascent_direction(state: GibbsState, eps: float = 0.0):
-    """Newton direction on J_eps (fallback: gradient) and its slope;
-    -Hess J_eps = -Hess J + eps I."""
+    """(d, slope, S): Newton direction on J_eps, its slope g.d and its
+    Newton matrix S; -Hess J_eps = -Hess J + eps I.  The fallback is the
+    gradient, with S None."""
     g = state.grad_coeffs
     try:
-        d = _newton_direction(state, NEWTON_SHIFT + eps, g)
+        d, S = _newton_direction(state, NEWTON_SHIFT + eps, g)
     except np.linalg.LinAlgError:
         log.info("Newton matrix not positive definite; falling back to gradient ascent")
-        d = g
+        d, S = g, None
     slope = float(g @ d)
     if slope <= 0.0:
-        d, slope = g, float(g @ g)
-    return d, slope
+        d, slope, S = g, float(g @ g), None
+    return d, slope, S
+
+
+def _free_direction(state: GibbsState, n: DensityProfile, eps: float):
+    """(d, slope, None): the Newton direction of the uniform equilibrium.
+
+    At a constant potential c, -Hess J = exp(-c) diag(chi) is diagonal
+    (functionals._free_response), and exp(-c) chi_0 = exp(-c) Z0 is its
+    mass; the c whose mass is that of n, as the semiclassical guess's is,
+    gives exp(-c) = mass(n) / chi_0.  O(D^2), no dense matrix."""
+    chi = _free_response(n.basis)
+    g = state.grad_coeffs
+    d = g / (n.mass / chi[0] * chi + NEWTON_SHIFT + eps)
+    return d, float(g @ d), None
 
 
 def _rises_by(trial: GibbsState, state: GibbsState, gain: float) -> bool:
@@ -202,15 +223,22 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
     a0 = _initial_coefficients(basis, n) if initial is None else initial
     state = _evaluate(n, a0, eps)
     history = []
+    newton = None  # the Newton matrix of the last step, None unless it was dense
     for iteration in range(opts.max_iter):
         if _stopping_measure(state, eps) <= opts.tol_l2:
-            state, extra = _refine_once(n, state, eps)
+            state, extra = _refine_once(n, state, eps, newton)
             history.extend(extra)
             return state, history
-        d, slope = _ascent_direction(state, eps)
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
+        # the semiclassical guess is near the uniform equilibrium, whose
+        # Newton matrix is diagonal; a floor verdict needs a dense step
+        free = iteration == 0 and initial is None
+        d, slope, newton = (_free_direction(state, n, eps) if free
+                            else _ascent_direction(state, eps))
+        if free and ARMIJO_C * slope <= fp_slack:
+            d, slope, newton = _ascent_direction(state, eps)
         alpha = 1.0
         trial = _evaluate(n, state.potential.coefficients + d, eps)
         # once the gain Armijo asks for is rounding noise in J it certifies
@@ -258,10 +286,16 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
         report=_solution(state, history, n, eps, eta)[1], potential=state.potential)
 
 
-def _refine_once(n, state, eps):
-    """One extra full Newton step once inside tolerance; the quadratic tail
-    usually lands orders of magnitude below tol and sharpens the recovered A."""
-    d, _ = _ascent_direction(state, eps)
+def _refine_once(n, state, eps, newton):
+    """One extra full step once inside tolerance, kept only if it shrinks
+    the stopping measure; it usually lands orders of magnitude below tol
+    and sharpens the recovered A.  A chord step: it solves with ``newton``,
+    the Newton matrix of the last step, and builds a fresh one only when
+    there is none."""
+    if newton is None:
+        d, _, _ = _ascent_direction(state, eps)
+    else:
+        d = np.linalg.solve(newton, state.grad_coeffs)
     trial = _evaluate(n, state.potential.coefficients + d, eps)
     if _stopping_measure(trial, eps) < _stopping_measure(state, eps):
         entry = HistoryEntry(residual=trial.residual_l2, step_size=1.0,
@@ -342,22 +376,25 @@ def epsilon_sweep(n: DensityProfile, opts: SolverOptions | None = None):
     the penalized objective, and the H^-1 distance from A_eps to the
     constrained solve's A, which contracts linearly in eps.
     """
-    opts = opts or SolverOptions()
+    return list(_sweep_rows(n, opts or SolverOptions()))
+
+
+def _sweep_rows(n: DensityProfile, opts: SolverOptions):
+    """The rows of :func:`epsilon_sweep`, each yielded once its solve is done,
+    so a caller keeps the rows finished before a solve raises."""
     A_ref, _, _ = solve_maxwellian(n, opts)
-    rows = []
     warm = None
     for eps in opts.epsilon_schedule:
         rho_eps, A_eps, report = solve_penalized(n, eps, 0.0, opts, initial=warm)
         warm = A_eps.coefficients
         dist = sobolev_norm(
             ChemicalPotential(n.basis, A_eps.coefficients - A_ref.coefficients), -1)
-        rows.append(EpsilonSweepRow(
+        yield EpsilonSweepRow(
             epsilon=eps,
             residual_l2=report.residual_l2,
             f_eps=penalized_free_energy(rho_eps, n, eps, 0.0).total,
             a_dist_hminus1=dist,
-        ))
-    return rows
+        )
 
 
 def euler_lagrange_residual(rho: DensityOperator, A: ChemicalPotential) -> float:

@@ -10,6 +10,9 @@ diagonal with eigenvalues 0 and 4 pi^2 k^2 (doubly degenerate).  Integrals
 are the trapezoid rule on N uniform points, which is exact for
 trigonometric polynomials of degree < N; N >= 4M+1 keeps every product
 A * e_p * e_q alias-free for potentials carried on wavenumbers <= 2M.
+Products of three basis functions have degree <= 3M, so the Newton
+Hessian integrates them exactly on its own (3M+1)-point product grid,
+whatever N is.
 
 Operators are real symmetric D x D coefficient matrices; densities are
 grid functions on the N points.  This module assembles H + A; the Gibbs
@@ -71,6 +74,8 @@ class SpectralBasis:
     h_eigenvalues: np.ndarray
     functions: np.ndarray = field(repr=False)    # (D, N) values e_p(x_j)
     derivatives: np.ndarray = field(repr=False)  # (D, N) values e_p'(x_j)
+    # (D, 3M+1) values of e_p on the 3M+1-point product grid
+    product_functions: np.ndarray = field(repr=False)
 
     @property
     def D(self) -> int:
@@ -123,8 +128,10 @@ def build_basis(M: int, N: int | None = None) -> SpectralBasis:
         w = 2.0 * np.pi * kk
         derivatives[2 * kk - 1] = -root2 * w * np.sin(theta)
         derivatives[2 * kk] = root2 * w * np.cos(theta)
+    product_grid = np.arange(3 * M + 1) / (3 * M + 1)
     return SpectralBasis(M=M, N=N, grid=grid, h_eigenvalues=h_eigenvalues,
-                         functions=functions, derivatives=derivatives)
+                         functions=functions, derivatives=derivatives,
+                         product_functions=_eval_functions(M, product_grid))
 
 
 def _check_same_basis(a: SpectralBasis, b: SpectralBasis):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qmaxwell as qm
+from qmaxwell import functionals as fn
 from qmaxwell.functionals import GibbsState
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -203,38 +204,58 @@ def test_hessian_bilinear_symmetry(b4):
 
 
 def test_hessian_matrix_columns_match_apply(b4):
-    rng = np.random.default_rng(10)
-    A = qm.ChemicalPotential(b4, rng.normal(0, 0.4, b4.D))
-    H = qm.dual_hessian_matrix(A)
-    assert_allclose(H, H.T, atol=1e-14)
-    for q in range(b4.D):
-        e_q = np.zeros(b4.D)
-        e_q[q] = 1.0
-        col = b4.project(qm.dual_hessian_apply(A, qm.ChemicalPotential(b4, e_q)))
-        assert_allclose(col, H[:, q], atol=1e-12)
+    # the matrix integrates on the 3M+1-point product grid, the response on
+    # the basis grid: a power of two, and the odd N = 4M+1
+    for basis in (b4, qm.build_basis(4, 17)):
+        rng = np.random.default_rng(10)
+        A = qm.ChemicalPotential(basis, rng.normal(0, 0.4, basis.D))
+        H = qm.dual_hessian_matrix(A)
+        assert_allclose(H, H.T, atol=1e-14)
+        for q in range(basis.D):
+            e_q = np.zeros(basis.D)
+            e_q[q] = 1.0
+            col = basis.project(qm.dual_hessian_apply(A, qm.ChemicalPotential(basis, e_q)))
+            assert_allclose(col, H[:, q], atol=1e-12)
 
 
 @pytest.mark.parametrize("constant", [0.0, -600.0])
 def test_hessian_matrix_with_inactive_states(constant):
     # at M=20 most states carry zero weight and the Hessian skips them; -600
-    # makes the weights about 1e260, large but finite
-    b20 = qm.build_basis(20)
-    rng = np.random.default_rng(12)
-    coeffs = np.zeros(b20.D)
-    coeffs[:9] = rng.normal(0, 1, 9)
-    coeffs[0] = constant
-    A = qm.ChemicalPotential(b20, coeffs)
-    active = np.count_nonzero(GibbsState(A).weights)
-    assert active < b20.D // 2
-    H = qm.dual_hessian_matrix(A)
-    scale = 1.0 + np.max(np.abs(H))
-    assert_allclose(H, H.T, rtol=0, atol=1e-14 * scale)
-    assert np.linalg.eigvalsh(H)[-1] <= 1e-12 * scale
-    for q in range(b20.D):
-        e_q = np.zeros(b20.D)
-        e_q[q] = 1.0
-        col = b20.project(qm.dual_hessian_apply(A, qm.ChemicalPotential(b20, e_q)))
-        assert_allclose(col, H[:, q], rtol=0, atol=1e-12 * scale)
+    # makes the weights about 1e260, large but finite; on a power-of-two grid
+    # and on the odd N = 4M+1
+    for b20 in (qm.build_basis(20), qm.build_basis(20, 81)):
+        rng = np.random.default_rng(12)
+        coeffs = np.zeros(b20.D)
+        coeffs[:9] = rng.normal(0, 1, 9)
+        coeffs[0] = constant
+        A = qm.ChemicalPotential(b20, coeffs)
+        active = np.count_nonzero(GibbsState(A).weights)
+        assert active < b20.D // 2
+        H = qm.dual_hessian_matrix(A)
+        scale = 1.0 + np.max(np.abs(H))
+        assert_allclose(H, H.T, rtol=0, atol=1e-14 * scale)
+        assert np.linalg.eigvalsh(H)[-1] <= 1e-12 * scale
+        for q in range(b20.D):
+            e_q = np.zeros(b20.D)
+            e_q[q] = 1.0
+            col = b20.project(qm.dual_hessian_apply(A, qm.ChemicalPotential(b20, e_q)))
+            assert_allclose(col, H[:, q], rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("M, N", [(1, None), (4, None), (20, None), (4, 17), (20, 81)])
+def test_free_response_is_the_constant_potential_hessian(M, N):
+    # at a constant potential c, -Hess J = exp(-c) diag(chi) in closed form
+    basis = qm.build_basis(M, N)
+    chi = fn._free_response(basis)
+    for c in (0.0, 0.7):
+        H = qm.dual_hessian_matrix(qm.ChemicalPotential.constant(basis, c))
+        expected = np.exp(-c) * chi
+        scale = np.max(expected)  # the dense matrix rounds relative to its largest entry
+        assert_allclose(-np.diag(H), expected, rtol=0, atol=1e-14 * scale)
+        off = H - np.diag(np.diag(H))
+        assert np.max(np.abs(off)) <= 1e-14 * scale
+    # chi(0) is the partition function Z0 = sum exp(-mu_p): d/dc of the mass
+    assert chi[0] == pytest.approx(np.sum(np.exp(-basis.h_eigenvalues)), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

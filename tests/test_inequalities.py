@@ -51,7 +51,7 @@ def test_batched_suite_equals_per_sample_oracle(solved, samples):
     basis, A, rho, n = solved
     opts = qm.SolverOptions()
     seed = 1000 * basis.M + samples
-    suite = inequalities.run_inequality_suite(basis, A, rho, n, None, opts, samples, seed)
+    suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, samples, seed)
     assert [r.name for r in suite] == [
         "lieb", "peierls", "convexity", "eigenvalue_perturbation",
         "euler_lagrange_residual", "potential_reconstruction", "log_sobolev"]

@@ -216,7 +216,7 @@ def test_report_json_roundtrip(b4):
         qm.gibbs_from_potential(b4, io_cli.potential_from_expression("0.5*cos(2*pi*x)", b4))))
     opts = qm.SolverOptions()
     A, rho, report = qm.solve_maxwellian(n, opts)
-    inequalities = run_inequality_suite(b4, A, rho, n, report, opts, samples=10, seed=3)
+    inequalities = run_inequality_suite(b4, A, rho, n, opts, samples=10, seed=3)
     payload = io_cli.build_report_dict(b4, opts, report, A, qm.density_of(rho),
                                        inequalities)
     text = io_cli.serialize_report(payload)
@@ -370,6 +370,23 @@ def test_cli_sweep_epsilon(tmp_path):
         assert len(lines) == len(expected) + 1
         eps_column = [float(line.split(",")[0]) for line in lines[1:]]
         assert eps_column == expected
+    # a failed solve keeps the header and the rows finished before it; the
+    # constrained reference fails on a too-small cutoff: exit 3, header only
+    density = tmp_path / "n3.csv"
+    write_density(density, 1.0 + 0.5 * np.cos(6 * np.pi * np.arange(64) / 64))
+    out = tmp_path / "small.csv"
+    assert run_cli("sweep-epsilon", "--density", str(density), "--modes", "1",
+                   "--out", str(out)) == 3
+    assert out.read_text().splitlines() == [lines[0]]
+    # eps = 1e-14 amplifies rounding in the in-basis defect beyond tol_l2, so
+    # its solve spends the budget: exit 2, with the row of eps = 1e-2
+    density = tmp_path / "rt0.csv"
+    out = tmp_path / "budget.csv"
+    assert run_cli("sweep-epsilon", "--density", str(density), "--modes", "4",
+                   "--schedule", "1e-2,1e-14", "--out", str(out)) == 2
+    budget = out.read_text().splitlines()
+    assert budget[0] == lines[0] and len(budget) == 2
+    assert float(budget[1].split(",")[0]) == 1e-2
 
 
 def test_cli_usage_errors(tmp_path):

@@ -96,7 +96,7 @@ def test_newton_direction_matches_dense_solve():
     g = state.grad_coeffs
     S = -qm.dual_hessian_matrix(state.potential) + 1e-12 * np.eye(b20.D)
     expected = np.linalg.solve(S, g)
-    d, slope = maxwellian_solver._ascent_direction(state)
+    d, slope, _ = maxwellian_solver._ascent_direction(state)
     assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected)
     assert slope == pytest.approx(float(g @ expected), rel=1e-10)
     assert slope > 0.0
@@ -117,9 +117,65 @@ def test_newton_falls_back_to_gradient_when_not_positive_definite(b4, monkeypatc
     for hessian in (np.eye, _with_nan_entry):
         monkeypatch.setattr(maxwellian_solver, "_hessian_from_spectrum",
                             lambda state: hessian(state.potential.basis.D))
-        d, slope = maxwellian_solver._ascent_direction(state)
+        d, slope, _ = maxwellian_solver._ascent_direction(state)
         assert np.array_equal(d, g)
         assert slope == float(g @ g)
+
+
+def _spy(monkeypatch, name, record):
+    """Wrap maxwellian_solver.<name> so that each call runs record(args, result)."""
+    original = getattr(maxwellian_solver, name)
+
+    def spy(*args):
+        out = original(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(maxwellian_solver, name, spy)
+
+
+def _spy_directions(monkeypatch):
+    """The kind of each search direction in order (free, dense or gradient),
+    and the iterate it was computed at."""
+    kinds, states = [], []
+
+    def record(kind):
+        def append(args, out):
+            kinds.append(kind(out))
+            states.append(args[0])
+        return append
+
+    _spy(monkeypatch, "_free_direction", record(lambda out: "free"))
+    _spy(monkeypatch, "_ascent_direction",
+         record(lambda out: "gradient" if out[2] is None else "dense"))
+    return kinds, states
+
+
+def test_smooth_solve_builds_two_newton_matrices(monkeypatch):
+    # the solve-m20 pattern: a free first step from the semiclassical guess,
+    # two dense Newton steps, and a chord refinement that reuses the last
+    # Newton matrix
+    b20 = qm.build_basis(20)
+    A_star, n = forward(b20, lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
+    built = []
+    _spy(monkeypatch, "_hessian_from_spectrum", lambda args, out: built.append(out))
+    kinds, _ = _spy_directions(monkeypatch)
+    A, _, report = qm.solve_maxwellian(n)
+    assert kinds == ["free", "dense", "dense"]
+    assert len(report.history) == 4
+    assert len(built) == 2
+    assert report.residual_l2 <= 1e-14
+    assert np.max(np.abs(A.coefficients - A_star.coefficients)) <= 1e-11
+
+
+def test_warm_start_takes_dense_steps(b8, monkeypatch):
+    _, n = forward(b8, lambda x: 0.6 * np.cos(2 * np.pi * x))
+    kinds, _ = _spy_directions(monkeypatch)
+    _, A_cold, _ = qm.solve_penalized(n, 1e-2)
+    assert kinds[0] == "free"
+    kinds.clear()
+    qm.solve_penalized(n, 1e-3, initial=A_cold.coefficients)
+    assert kinds and "free" not in kinds
 
 
 def test_duality_gap_bounds(roundtrip8):
@@ -216,6 +272,39 @@ def test_basis_too_small_retry_converges():
         assert report.residual_l2 <= opts.tol_l2
         return
     pytest.fail(f"no convergence within 6 solves, last M = {M}")
+
+
+@pytest.mark.parametrize("case", ["cos6-M1", "hard-M16"])
+def test_basis_too_small_rests_on_a_dense_step(case, monkeypatch):
+    M, density, least = _TOO_SMALL[case]
+    basis = qm.build_basis(M)
+    kinds, _ = _spy_directions(monkeypatch)
+    with pytest.raises(BasisTooSmall) as info:
+        qm.solve_maxwellian(qm.DensityProfile(basis, density(basis.grid)),
+                            qm.SolverOptions(max_iter=200))
+    assert info.value.suggested_modes >= least
+    assert kinds[0] == "free" and kinds[-1] == "dense"
+
+
+def test_unresolved_free_step_takes_the_dense_direction(monkeypatch):
+    # a free step whose gain is below J's rounding slack cannot mark the
+    # rounding floor: that iteration takes the dense direction instead
+    M, density, least = _TOO_SMALL["cos6-M1"]
+    basis = qm.build_basis(M)
+    free = maxwellian_solver._free_direction
+
+    def negligible(state, n, eps):
+        d, slope, S = free(state, n, eps)
+        return 1e-30 * d, 1e-30 * slope, S
+
+    monkeypatch.setattr(maxwellian_solver, "_free_direction", negligible)
+    kinds, states = _spy_directions(monkeypatch)
+    with pytest.raises(BasisTooSmall) as info:
+        qm.solve_maxwellian(qm.DensityProfile(basis, density(basis.grid)))
+    assert info.value.suggested_modes >= least
+    assert kinds[:2] == ["free", "dense"]
+    assert states[1] is states[0]  # the same iteration, not the next one
+    assert kinds[-1] == "dense"
 
 
 def test_scaled_density_is_not_blamed_on_basis(b8):
