@@ -9,16 +9,15 @@ class NotPositiveSemidefinite(QMaxwellError):
     """An operator that must be PSD has an eigenvalue below tolerance."""
 
 
+SingularDensityOperator = NotPositiveSemidefinite  # former name, for existing except clauses
+
+
 class NonPositiveDensity(QMaxwellError):
     """A density profile touches zero or goes negative somewhere."""
 
 
 class BasisMismatch(QMaxwellError):
     """Two objects built on incompatible spectral bases were combined."""
-
-
-class SingularDensityOperator(QMaxwellError):
-    """An operation requiring a positive spectrum met a negative eigenvalue."""
 
 
 class SolverError(QMaxwellError):

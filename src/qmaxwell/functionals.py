@@ -14,6 +14,8 @@ whose gradient in A is exactly the constraint residual n[exp(-(H+A))] - n.
 
 Gibbs states exp(-(H+A)) are evaluated in one place, :class:`GibbsState`,
 which the dual, its derivatives, gibbs_from_potential and the solver share.
+Functions of a density operator read the spectra that its class checked,
+``eigenvalues`` or ``eigenpairs``, and decompose nothing themselves.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from .spectral_core import (
     DensityProfile,
     SpectralBasis,
     _check_same_basis,
-    _checked_clamped_spectrum,
     _checked_spectra,
     _energy_traces,
     _multiplication_matrix,
     _spectral_entropy,
+    _xlogx,
     assemble_hamiltonian_plus_potential,
     density_of,
     energy_trace,
@@ -263,7 +265,9 @@ def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float
     if eta <= 0.0:
         raise ValueError("eta must be > 0; beta_0 is not differentiable at 0")
     omega = np.asarray(omega, dtype=float)
-    lam, V = _checked_clamped_spectrum(rho)
+    if omega.shape != rho.matrix.shape:
+        raise ValueError(f"omega shape {omega.shape} differs from rho's {rho.matrix.shape}")
+    lam, V = rho.eigenpairs
     L = (V * np.log(lam + eta)) @ V.T
     return float(np.sum(L * omega))
 
@@ -305,9 +309,7 @@ def log_sobolev_gap(rho: DensityOperator) -> InequalityReport:
     """
     if rho.trace <= 0.0:
         raise ValueError("log-Sobolev diagnostic needs Tr rho > 0")
-    lam = np.maximum(rho.eigenvalues, 0.0)
-    pos = lam > 0.0
-    lhs = float(np.sum(lam[pos] * np.log(lam[pos])) + energy_trace(rho))
+    lhs = float(np.sum(_xlogx(rho.eigenvalues)) + energy_trace(rho))
     n = np.maximum(density_of(rho), 1e-300)
     rhs = rho.basis.quadrature(n * np.log(n)) + 0.5 * np.log(4.0 * np.pi) * rho.trace
     gap = lhs - rhs
@@ -382,8 +384,7 @@ def _peierls(matrices, eigenvalues, rotations) -> InequalityStack:
     eye = np.eye(rotations.shape[-1])
     if np.any(np.max(np.abs(Rt @ rotations - eye), axis=(-2, -1)) > 1e-10):
         raise ValueError("rotation is not orthogonal within 1e-10")
-    diag = np.maximum(np.diagonal(Rt @ matrices @ rotations, axis1=-2, axis2=-1), 0.0)
-    lhs = np.sum(diag * np.log(np.where(diag > 0, diag, 1.0)) - diag, axis=-1)
+    lhs = _spectral_entropy(np.diagonal(Rt @ matrices @ rotations, axis1=-2, axis2=-1))
     rhs = _spectral_entropy(eigenvalues)
     return InequalityStack("peierls", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + np.abs(rhs)))
 

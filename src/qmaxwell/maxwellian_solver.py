@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisTooSmall, MaxIterExceeded, SingularDensityOperator
+from .errors import BasisTooSmall, MaxIterExceeded
 from .functionals import (
     GibbsState,
     _free_response,
@@ -48,12 +48,12 @@ from .functionals import (
     penalized_free_energy,
 )
 from .spectral_core import (
-    PSD_TOL,
     ChemicalPotential,
     DensityOperator,
     DensityProfile,
     SpectralBasis,
     _grid_spectrum,
+    _xlogx,
     assemble_hamiltonian_plus_potential,
     sobolev_norm,
     spectral_derivative,
@@ -116,13 +116,6 @@ class SolveReport:
     duality_gap: float
     el_residual: float
     history: list = field(default_factory=list)
-
-
-def _xlogx(lam):
-    out = np.zeros_like(lam)
-    pos = lam > 0.0
-    out[pos] = lam[pos] * np.log(lam[pos])
-    return out
 
 
 def _evaluate(n: DensityProfile, a, eps: float) -> GibbsState:
@@ -401,15 +394,11 @@ def euler_lagrange_residual(rho: DensityOperator, A: ChemicalPotential) -> float
     """J2 norm of sqrt(rho)(log rho + H + A) sqrt(rho).
 
     Vanishes (to rounding) whenever rho = exp(-(H+A)) for the same A.
-    Eigenvalues that underflow to zero enter through their continuous
-    limit sqrt(s) log(s) -> 0; a spectrum negative beyond the PSD
-    tolerance is rejected.
+    Reads ``rho.eigenpairs``: a spectrum negative beyond the PSD tolerance
+    raises NotPositiveSemidefinite, and eigenvalues that underflow to zero
+    enter through their continuous limit s log(s) -> 0.
     """
-    lam, V = np.linalg.eigh(rho.matrix)
-    if lam[0] < -PSD_TOL * (abs(rho.trace) + 1.0):
-        raise SingularDensityOperator(
-            f"spectrum reaches {lam[0]:.3e}; the residual needs a nonnegative spectrum")
-    lam = np.maximum(lam, 0.0)
+    lam, V = rho.eigenpairs
     K = assemble_hamiltonian_plus_potential(rho.basis, A)
     Kt = V.T @ K @ V
     t = np.sqrt(lam)
@@ -423,18 +412,17 @@ def reconstruct_potential_form(rho: DensityOperator, n: DensityProfile, psi):
         (A, psi) = -Tr((psi/n) rho log rho)
                    - sum_p lam_p ( phi_p', ((psi/n) phi_p)' )
 
-    over the eigenpairs (lam_p, phi_p) of rho.  At rho = exp(-(H+A)) with
-    n = n[rho] this equals integral of A psi for every periodic test psi.
-    ``psi`` is one grid function (N,), giving a float, or a stack (P, N),
-    giving P values from one eigendecomposition of rho.
+    over ``rho.eigenpairs`` (lam_p, phi_p), which raise NotPositiveSemidefinite
+    on a negative spectrum.  At rho = exp(-(H+A)) with n = n[rho] this equals
+    integral of A psi for every periodic test psi.  ``psi`` is one grid
+    function (N,), giving a float, or a stack (P, N), giving P values.
     """
     basis = rho.basis
     psi = np.asarray(psi, dtype=float)
     if psi.ndim not in (1, 2) or psi.shape[-1] != basis.N:
         raise ValueError(f"psi must be sampled on the {basis.N}-point grid")
     g = (psi / n.values)[..., None, :]
-    lam, V = np.linalg.eigh(rho.matrix)
-    lam = np.maximum(lam, 0.0)
+    lam, V = rho.eigenpairs
     keep = lam > 1e-250
     lam = lam[keep]
     phi = V.T[keep] @ basis.functions          # eigenfunction values

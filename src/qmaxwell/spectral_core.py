@@ -17,10 +17,15 @@ whatever N is.
 Operators are real symmetric D x D coefficient matrices; densities are
 grid functions on the N points.  This module assembles H + A; the Gibbs
 state exp(-(H+A)) built from that matrix lives in :mod:`qmaxwell.functionals`.
+
+:class:`DensityOperator` is the one place that decomposes and checks a
+density operator: finite, symmetric and PSD at construction, keeping that
+check's ``eigvalsh`` spectrum, and ``eigenpairs`` (one ``eigh``) on demand.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,24 +144,39 @@ def _check_same_basis(a: SpectralBasis, b: SpectralBasis):
         raise BasisMismatch(f"bases differ: (M={a.M}, N={a.N}) vs (M={b.M}, N={b.N})")
 
 
+def _check_finite_symmetric(m, what):
+    """ValueError unless each matrix of m (one or a stack) is finite and symmetric."""
+    scale = 1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(scale).all():  # max propagates NaN and inf
+        bad = np.argwhere(~np.isfinite(m))
+        first = tuple(bad[0].tolist())
+        raise ValueError(f"{what} is not finite: {m[first]} at index {first} "
+                         f"({len(bad)} non-finite entries)")
+    asym = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (asym > SYMMETRY_TOL * scale).any():
+        raise ValueError(f"{what} is not symmetric within tolerance")
+
+
+def _check_psd(lam, matrices):
+    """NotPositiveSemidefinite if a spectrum in lam (s, D) is below -PSD_TOL (|Tr| + 1)."""
+    lam_min = lam[:, 0]
+    below = lam_min < -PSD_TOL * (np.abs(matrices.trace(axis1=-2, axis2=-1)) + 1.0)
+    if below.any():
+        raise NotPositiveSemidefinite(
+            f"smallest eigenvalue {lam_min[below][0]:.3e} below PSD tolerance")
+
+
 def _checked_spectra(matrices) -> np.ndarray:
     """Ascending spectra, shape (s, D), of a stack (s, D, D) of density
-    operator matrices, once every slice is symmetric within SYMMETRY_TOL and
-    PSD within PSD_TOL; raises if any slice is not.
+    operator matrices, once every slice is finite, symmetric within
+    SYMMETRY_TOL and PSD within PSD_TOL; raises if any slice is not.
 
     Every :class:`DensityOperator` runs this check as a stack of one.
     """
     m = np.asarray(matrices, dtype=float)
-    scale = 1.0 + np.abs(m).max(axis=(-2, -1))
-    asym = np.abs(m - np.swapaxes(m, -1, -2)).max(axis=(-2, -1))
-    if (asym > SYMMETRY_TOL * scale).any():
-        raise ValueError("density operator matrix is not symmetric within tolerance")
+    _check_finite_symmetric(m, "density operator matrix")
     lam = np.linalg.eigvalsh(m)
-    lam_min = lam[:, 0]
-    below = lam_min < -PSD_TOL * (np.abs(m.trace(axis1=-2, axis2=-1)) + 1.0)
-    if below.any():
-        raise NotPositiveSemidefinite(
-            f"smallest eigenvalue {lam_min[below][0]:.3e} below PSD tolerance")
+    _check_psd(lam, m)
     return lam
 
 
@@ -176,6 +196,13 @@ class DensityOperator:
         if m.shape != (D, D):
             raise ValueError(f"matrix shape {m.shape} incompatible with D={D}")
         object.__setattr__(self, "eigenvalues", _checked_spectra(m[None])[0])
+
+    @functools.cached_property
+    def eigenpairs(self):
+        """(lam, V) of one ``eigh``, PSD-checked, lam clamped at 0; computed on first use."""
+        lam, V = np.linalg.eigh(self.matrix)
+        _check_psd(lam[None], self.matrix[None])
+        return np.maximum(lam, 0.0), V
 
     @property
     def trace(self) -> float:
@@ -277,9 +304,7 @@ def symmetric_eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
     pairs at the same wavenumber make such clusters generic.
     """
     m = np.asarray(matrix, dtype=float)
-    scale = 1.0 + np.max(np.abs(m)) if m.size else 1.0
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+    _check_finite_symmetric(m, "matrix")
     lam, V = np.linalg.eigh(0.5 * (m + m.T))
     V = V.copy()
     D = lam.size
@@ -390,32 +415,24 @@ def spectral_derivative(values) -> np.ndarray:
     return np.fft.irfft(X, n=N, axis=-1)
 
 
+def _xlogx(s):
+    """s log s for s > 0, and its continuous limit 0 elsewhere."""
+    pos = s > 0.0
+    return np.where(pos, s * np.log(np.where(pos, s, 1.0)), 0.0)
+
+
 def _beta_eta(s, eta):
-    """Regularized entropy integrand (s+eta) log(s+eta) - s - eta log eta, beta_0(0)=0."""
-    s = np.asarray(s, dtype=float)
+    """Regularized entropy integrand (s+eta) log(s+eta) - s - eta log eta, s >= 0."""
     if eta == 0.0:
-        out = np.zeros_like(s)
-        pos = s > 0.0
-        sp = s[pos]
-        out[pos] = sp * np.log(sp) - sp
-        return out
+        return _xlogx(s) - s
     return (s + eta) * np.log(s + eta) - s - eta * np.log(eta)
-
-
-def _checked_clamped_spectrum(rho: DensityOperator):
-    lam, V = np.linalg.eigh(rho.matrix)
-    tol = PSD_TOL * (abs(rho.trace) + 1.0)
-    if lam[0] < -tol:
-        raise NotPositiveSemidefinite(
-            f"eigenvalue {lam[0]:.3e} below PSD tolerance {-tol:.3e}")
-    return np.maximum(lam, 0.0), V
 
 
 def matrix_entropy_function(rho: DensityOperator, eta: float = 0.0) -> np.ndarray:
     """Spectral application of the (regularized) entropy integrand to rho."""
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
-    lam, V = _checked_clamped_spectrum(rho)
+    lam, V = rho.eigenpairs
     m = (V * _beta_eta(lam, eta)) @ V.T
     return 0.5 * (m + m.T)
 

@@ -277,6 +277,10 @@ def test_gateaux_rejects_eta_zero(b4):
     for eta in (0.0, -1.0):
         with pytest.raises(ValueError):
             qm.gateaux_entropy_derivative(rho, np.eye(b4.D), eta)
+    # a direction that is not D x D would broadcast against log(rho + eta)
+    for omega in (np.ones(b4.D), np.ones((1, b4.D)), 1.0):
+        with pytest.raises(ValueError, match="omega shape"):
+            qm.gateaux_entropy_derivative(rho, omega, 0.1)
 
 
 @pytest.mark.parametrize("eta", [1e-1, 1e-3])

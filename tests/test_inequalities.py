@@ -73,6 +73,11 @@ def test_stacked_psd_check_finds_one_bad_slice():
     bad[33, 0, 1] += 1e-6
     with pytest.raises(ValueError, match="not symmetric"):
         _checked_spectra(bad)
+    for value in (np.nan, np.inf):
+        bad = stack.copy()
+        bad[33, 2, 2] = value
+        with pytest.raises(ValueError, match=r"not finite: .* at index \(33, 2, 2\)"):
+            _checked_spectra(bad)
 
 
 def test_stacked_peierls_finds_one_non_orthogonal_rotation():

@@ -143,6 +143,8 @@ def test_eigendecompose_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         qm.symmetric_eigendecompose(m)
+    with pytest.raises(ValueError, match="not finite"):
+        qm.symmetric_eigendecompose(np.diag([np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +324,48 @@ def test_entropy_rejects_indefinite_input(b3):
     object.__setattr__(rho, "matrix", m)
     with pytest.raises(NotPositiveSemidefinite):
         qm.matrix_entropy_function(rho, 0.0)
+
+
+@pytest.mark.parametrize("diagonal", [[np.nan, 1.0, 1.0, 1.0, 1.0],
+                                      [np.inf, 0.0, 0.0, 0.0, 0.0],
+                                      [1.0, np.nan, 1.0, 1.0, 1.0]])
+def test_density_operator_rejects_non_finite_matrix(diagonal):
+    # unchecked, NaN and inf pass as a made-up spectrum or fail in LAPACK
+    with pytest.raises(ValueError, match="not finite"):
+        qm.DensityOperator(qm.build_basis(2), np.diag(diagonal))
+
+
+def _spectral_consumers(basis):
+    n = qm.DensityProfile(basis, np.ones(basis.N))
+    A = qm.ChemicalPotential.constant(basis, 0.0)
+    return {
+        "matrix_entropy_function": lambda rho: qm.matrix_entropy_function(rho, 0.0),
+        "gateaux_entropy_derivative":
+            lambda rho: qm.gateaux_entropy_derivative(rho, np.eye(basis.D), 0.1),
+        "euler_lagrange_residual": lambda rho: qm.euler_lagrange_residual(rho, A),
+        "reconstruct_potential_form":
+            lambda rho: qm.reconstruct_potential_form(rho, n, basis.functions[1]),
+    }
+
+
+@pytest.mark.parametrize("consumer", ["matrix_entropy_function", "gateaux_entropy_derivative",
+                                      "euler_lagrange_residual", "reconstruct_potential_form"])
+def test_eigenpairs_consumers_reject_indefinite_input(b3, consumer):
+    # bypass the constructor check as test_entropy_rejects_indefinite_input does
+    rho = projector(b3, 0)
+    object.__setattr__(rho, "matrix", np.diag([1.0, -0.5] + [0.0] * (b3.D - 2)))
+    with pytest.raises(NotPositiveSemidefinite):
+        _spectral_consumers(b3)[consumer](rho)
+
+
+def test_eigenpairs_consumers_share_one_eigh(b3, monkeypatch):
+    rho = random_psd(np.random.default_rng(29), b3)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    for consume in _spectral_consumers(b3).values():
+        consume(rho)
+    assert len(calls) == 1
 
 
 def test_entropy_trace_matches_matrix_trace(b3):
