@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-8
+# the Newton Hessian keeps state i iff w_i > u^2 w_0, u the machine epsilon
+ACTIVE_WEIGHT_CUT = np.finfo(float).eps ** 2
 EXP_OVERFLOW_LIMIT = -float(np.log(np.finfo(float).max))  # exp(-lam) is inf below
 
 
@@ -149,10 +151,6 @@ class GibbsState:
         m = (self.V * self.weights) @ self.V.T
         return 0.5 * (m + m.T)
 
-    def operator_density(self, X) -> np.ndarray:
-        """Grid density of the operator V X V^T, X given in the eigenbasis."""
-        return np.sum(self.phi * (X @ self.phi), axis=0)
-
 
 def gibbs_from_potential(basis: SpectralBasis, A: ChemicalPotential) -> DensityOperator:
     """rho = exp(-(H+A)); ValueError when exp(-lam) overflows (lam < -709.78)."""
@@ -198,12 +196,14 @@ def dual_hessian_apply(A: ChemicalPotential, delta: ChemicalPotential) -> np.nda
     With H+A = V diag(lam) V^T and G the Galerkin matrix of delta, the
     operator response is -V (Phi o V^T G V) V^T where Phi carries the
     divided differences of exp(-s); the returned value is its density.
+    Every state enters, so this is the reference the Hessian matrix is
+    tested against.
     """
     _check_same_basis(A.basis, delta.basis)
     state = GibbsState(A)
-    G = _multiplication_matrix(A.basis, delta.on_grid())
+    G = _multiplication_matrix(A.basis, delta.coefficients)
     X = -_exp_divided_differences(state.lam) * (state.V.T @ G @ state.V)
-    return state.operator_density(X)
+    return np.sum(state.phi * (X @ state.phi), axis=0)
 
 
 def _hessian_from_spectrum(state: GibbsState) -> np.ndarray:
@@ -211,22 +211,28 @@ def _hessian_from_spectrum(state: GibbsState) -> np.ndarray:
 
     H_qr = -sum_ij W_qij Phi_ij W_rij with W_qij = integral of e_q phi_i phi_j;
     W and H are one GEMM each.  e_q phi_i phi_j has degree <= 3M, so W is
-    exact on the 3M+1-point product grid of the basis.  Only active rows i
-    (exp(-lam_i) > 0) enter: when both weights underflow, Phi_ij is exactly
-    0 in either branch of _exp_divided_differences, and by symmetry each
-    (active, inactive) pair counts twice.  The cost is O(k D^2 (3M+1)) for
-    k active states.
+    exact on the 3M+1-point product grid of the basis.  Only the k active
+    rows i, w_i = exp(-lam_i) > u^2 w_0 (ACTIVE_WEIGHT_CUT, w_0 the largest
+    weight), enter; by symmetry each (active, inactive) pair counts twice.
+    A dropped pair has both states cut, and Phi_ij <= max(w_i, w_j) <=
+    u^2 w_0, below the rounding of the kept terms, which carry Phi_00 = w_0.
+    The cost is O(k D^2 (3M+1)).  An overflowed w_0 = inf keeps every
+    state, so the matrix comes out non-finite, silently, and the Newton
+    step falls back to the gradient.
     """
     E = state.potential.basis.product_functions
     P = E.shape[1]
-    k = int(np.count_nonzero(state.weights))
+    w = state.weights
+    cut = ACTIVE_WEIGHT_CUT * w[0]
+    k = int(np.count_nonzero(w > cut)) if np.isfinite(cut) else w.size
     phi = state.V.T @ E
     products = (phi[:k, None, :] * phi[None, :, :]).reshape(-1, P)
     W = E @ products.T / P
-    coupling = _exp_divided_differences(state.lam[:k], state.lam)
-    coupling[:, k:] *= 2.0
-    H = -(W * coupling.ravel()) @ W.T
-    return 0.5 * (H + H.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = _exp_divided_differences(state.lam[:k], state.lam)
+        coupling[:, k:] *= 2.0
+        H = -(W * coupling.ravel()) @ W.T
+        return 0.5 * (H + H.T)
 
 
 def _free_response(basis: SpectralBasis) -> np.ndarray:

@@ -403,7 +403,3 @@ def cli_dispatch(argv) -> int:
 
 def main():
     sys.exit(cli_dispatch(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -6,13 +6,15 @@ kinetic operator H = -d^2/dx^2 with periodic boundary conditions:
     e_0 = 1,  e_{2k-1} = sqrt(2) cos(2 pi k x),  e_{2k} = sqrt(2) sin(2 pi k x)
 
 for wavenumbers k = 1..M, so the matrix dimension is D = 2M+1 and H is
-diagonal with eigenvalues 0 and 4 pi^2 k^2 (doubly degenerate).  Integrals
-are the trapezoid rule on N uniform points, which is exact for
-trigonometric polynomials of degree < N; N >= 4M+1 keeps every product
-A * e_p * e_q alias-free for potentials carried on wavenumbers <= 2M.
-Products of three basis functions have degree <= 3M, so the Newton
-Hessian integrates them exactly on its own (3M+1)-point product grid,
-whatever N is.
+diagonal with eigenvalues 0 and 4 pi^2 k^2 (doubly degenerate).  The
+Galerkin matrix of a potential is read from its coefficients, exactly and
+in O(D^2): a multiplication operator is Toeplitz-plus-Hankel in this
+basis.  Integrals of grid functions (densities, projections onto the
+basis, L2 norms) are the trapezoid rule on N uniform points, which is
+exact for trigonometric polynomials of degree < N; a density has degree
+<= 2M, so N >= 4M+1 keeps its square alias-free.  Products of three basis
+functions have degree <= 3M, so the Newton Hessian integrates them
+exactly on its own (3M+1)-point product grid, whatever N is.
 
 Operators are real symmetric D x D coefficient matrices; densities are
 grid functions on the N points.  This module assembles H + A; the Gibbs
@@ -110,8 +112,8 @@ class SpectralBasis:
 def build_basis(M: int, N: int | None = None) -> SpectralBasis:
     """Basis with mode cutoff M; N defaults to the smallest power of two >= 4M+2.
 
-    N < 4M+1 is rejected: the Galerkin matrix of a potential carried on
-    wavenumbers <= 2M would alias on a coarser grid.
+    N < 4M+1 is rejected: the square of a density, degree <= 4M, would
+    alias on a coarser grid.
     """
     if M < 1:
         raise ValueError(f"mode cutoff must be >= 1, got {M}")
@@ -120,19 +122,16 @@ def build_basis(M: int, N: int | None = None) -> SpectralBasis:
         while N < 4 * M + 2:
             N *= 2
     if N < 4 * M + 1:
-        raise ValueError(f"grid size {N} < 4M+1 = {4 * M + 1} aliases potential matrix elements")
+        raise ValueError(f"grid size {N} < 4M+1 = {4 * M + 1} aliases squared densities")
     grid = np.arange(N) / N
     k = (np.arange(2 * M + 1) + 1) // 2
     h_eigenvalues = (2.0 * np.pi * k) ** 2
     functions = _eval_functions(M, grid)
-    derivatives = np.empty_like(functions)
-    derivatives[0] = 0.0
-    root2 = np.sqrt(2.0)
-    for kk in range(1, M + 1):
-        theta = 2.0 * np.pi * kk * grid
-        w = 2.0 * np.pi * kk
-        derivatives[2 * kk - 1] = -root2 * w * np.sin(theta)
-        derivatives[2 * kk] = root2 * w * np.cos(theta)
+    # e'_{2k-1} = -2 pi k e_{2k} and e'_{2k} = 2 pi k e_{2k-1}
+    w = 2.0 * np.pi * np.arange(1, M + 1)[:, None]
+    derivatives = np.zeros_like(functions)
+    derivatives[1::2] = -w * functions[2::2]
+    derivatives[2::2] = w * functions[1::2]
     product_grid = np.arange(3 * M + 1) / (3 * M + 1)
     return SpectralBasis(M=M, N=N, grid=grid, h_eigenvalues=h_eigenvalues,
                          functions=functions, derivatives=derivatives,
@@ -279,20 +278,68 @@ def assemble_hamiltonian_plus_potential(basis: SpectralBasis,
                                         A: ChemicalPotential) -> np.ndarray:
     """Galerkin matrix K_pq = mu_p delta_pq + integral of A e_p e_q.
 
-    The potential integral is the N-point quadrature, exact because
-    A e_p e_q has degree <= 4M < N.
+    The potential integral is exact and read from A's coefficients in
+    O(D^2), with no quadrature (:func:`_multiplication_matrix`); K is
+    exactly symmetric.
     """
     _check_same_basis(basis, A.basis)
-    K = _multiplication_matrix(basis, A.on_grid())
+    K = _multiplication_matrix(basis, A.coefficients)
     K[np.diag_indices_from(K)] += basis.h_eigenvalues
     return K
 
 
-def _multiplication_matrix(basis: SpectralBasis, grid_values) -> np.ndarray:
-    """Symmetric Galerkin matrix G_pq = integral of u e_p e_q of a grid function u."""
-    E = basis.functions
-    G = (E * grid_values) @ E.T / basis.N
-    return 0.5 * (G + G.T)
+def _multiplication_matrix(basis: SpectralBasis, coefficients) -> np.ndarray:
+    """Galerkin matrix G_pq = integral of u e_p e_q of the function u with
+    these basis coefficients: G = s1 * c[I] + s2 * c[J] for c the
+    coefficients padded with one zero (see :func:`_galerkin_gather`)."""
+    I, J, s1, s2 = _galerkin_gather(basis.M)
+    c = np.append(np.asarray(coefficients, dtype=float), 0.0)
+    return s1 * c[I] + s2 * c[J]
+
+
+@functools.cache
+def _galerkin_gather(M: int):
+    """(I, J, s1, s2), read-only and cached per M, that give the Galerkin
+    matrix of a multiplication operator from the zero-padded coefficients c
+    of its function u as G = s1 * c[I] + s2 * c[J].
+
+    A multiplication operator is Toeplitz-plus-Hankel in the cos/sin basis
+    (Boyd, *Chebyshev and Fourier Spectral Methods*, 2nd ed., 2001): with
+    e_p = r_p t_p(2 pi k_p x), t_p cos or sin, r_0 = 1 and r_p = sqrt 2
+    otherwise, 2 t_p t_q is a sum of two trig functions at the wavenumbers
+    d = k_p - k_q (term I) and s = k_p + k_q (term J):
+
+        2 cos cos = cos d + cos s,   2 sin sin = cos d - cos s,
+        2 cos sin = sin s - sin d,   2 sin cos = sin s + sin d.
+
+    The moments of u are integral of u cos(2 pi m x) = c_0 at m = 0 and
+    c_{2|m|-1} / sqrt 2 otherwise, and integral of u sin(2 pi m x) =
+    sign(m) c_{2|m|} / sqrt 2; a moment at m = 0 of sin, or beyond |m| = M,
+    reads the zero pad c_D.  Entries (p, q) and (q, p) read the same
+    coefficients with the same scales up to a sign flip of both factor
+    and moment, so G is exactly symmetric.
+    """
+    D = 2 * M + 1
+    p = np.arange(D)
+    k = (p + 1) // 2
+    sine = (p > 0) & (p % 2 == 0)
+    r = np.where(p == 0, 1.0, np.sqrt(2.0))
+    half = 0.5 * r[:, None] * r[None, :]
+    mixed = sine[:, None] != sine[None, :]  # the moments are of sin
+
+    def moment(m, flip):
+        """(index into c, scale) of the moments at wavenumbers m, times flip."""
+        a = np.abs(m)
+        index = np.where(mixed, 2 * a, np.maximum(2 * a - 1, 0))
+        index[(a > M) | (mixed & (a == 0))] = D
+        scale = np.where(a == 0, 1.0, np.sqrt(0.5)) * np.where(mixed, np.sign(m), 1) * flip
+        return index, half * scale
+
+    I, s1 = moment(k[:, None] - k[None, :], np.where(mixed & ~sine[:, None], -1, 1))
+    J, s2 = moment(k[:, None] + k[None, :], np.where(~mixed & sine[:, None], -1, 1))
+    for a in (I, J, s1, s2):
+        a.setflags(write=False)
+    return I, J, s1, s2
 
 
 def symmetric_eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:

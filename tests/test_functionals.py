@@ -218,20 +218,40 @@ def test_hessian_matrix_columns_match_apply(b4):
             assert_allclose(col, H[:, q], atol=1e-12)
 
 
+def _hessian_over_nonzero_weights(state):
+    """The Newton Hessian with every state of nonzero weight active: the
+    reference for the cut at u^2 w_0."""
+    E = state.potential.basis.product_functions
+    P = E.shape[1]
+    k = int(np.count_nonzero(state.weights))
+    phi = state.V.T @ E
+    products = (phi[:k, None, :] * phi[None, :, :]).reshape(-1, P)
+    W = E @ products.T / P
+    coupling = fn._exp_divided_differences(state.lam[:k], state.lam)
+    coupling[:, k:] *= 2.0
+    H = -(W * coupling.ravel()) @ W.T
+    return 0.5 * (H + H.T)
+
+
 @pytest.mark.parametrize("constant", [0.0, -600.0])
 def test_hessian_matrix_with_inactive_states(constant):
-    # at M=20 most states carry zero weight and the Hessian skips them; -600
-    # makes the weights about 1e260, large but finite; on a power-of-two grid
-    # and on the odd N = 4M+1
+    # at M=20 most states carry zero weight and the Hessian skips them, and
+    # more that carry less than u^2 of the largest; -600 makes the weights
+    # about 1e260, large but finite; on a power-of-two grid and on the odd
+    # N = 4M+1
     for b20 in (qm.build_basis(20), qm.build_basis(20, 81)):
         rng = np.random.default_rng(12)
         coeffs = np.zeros(b20.D)
         coeffs[:9] = rng.normal(0, 1, 9)
         coeffs[0] = constant
         A = qm.ChemicalPotential(b20, coeffs)
-        active = np.count_nonzero(GibbsState(A).weights)
+        state = GibbsState(A)
+        active = np.count_nonzero(state.weights)
         assert active < b20.D // 2
+        assert np.count_nonzero(state.weights > fn.ACTIVE_WEIGHT_CUT * state.weights[0]) < active
         H = qm.dual_hessian_matrix(A)
+        reference = _hessian_over_nonzero_weights(state)
+        assert np.max(np.abs(H - reference)) <= 1e-14 * np.max(np.abs(H))
         scale = 1.0 + np.max(np.abs(H))
         assert_allclose(H, H.T, rtol=0, atol=1e-14 * scale)
         assert np.linalg.eigvalsh(H)[-1] <= 1e-12 * scale

@@ -470,6 +470,19 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_python_m_qmaxwell_runs_the_cli(tmp_path):
+    # runpy warns when the package imports the module it is asked to run,
+    # and the warning filter makes that an exit 1 before any parsing
+    src = str(Path(qm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    proc = subprocess.run([sys.executable, "-m", "qmaxwell", "--help"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: qmaxwell ")
+
+
 def test_cli_logging_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QMAXWELL_LOG", "debug")
     out = tmp_path / "n.csv"

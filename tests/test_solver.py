@@ -122,6 +122,21 @@ def test_newton_falls_back_to_gradient_when_not_positive_definite(b4, monkeypatc
         assert slope == float(g @ g)
 
 
+def test_overflowed_weights_fall_back_to_gradient():
+    # at A = -800 + 0.5 sqrt2 cos 2 pi x the three lowest weights exp(-lambda)
+    # overflow; a cut relative to w_0 = inf must not drop every state, which
+    # would leave 1e-12 I as the Newton matrix and take the step g / 1e-12
+    b8 = qm.build_basis(8)
+    coeffs = np.zeros(b8.D)
+    coeffs[0], coeffs[1] = -800.0, 0.5
+    state = GibbsState(qm.ChemicalPotential(b8, coeffs), qm.DensityProfile(b8, np.ones(b8.N)))
+    assert np.isinf(state.weights[0])
+    assert not np.all(np.isfinite(qm.dual_hessian_matrix(state.potential)))
+    d, _, S = maxwellian_solver._ascent_direction(state)
+    assert S is None
+    assert d is state.grad_coeffs
+
+
 def _spy(monkeypatch, name, record):
     """Wrap maxwellian_solver.<name> so that each call runs record(args, result)."""
     original = getattr(maxwellian_solver, name)
@@ -166,6 +181,22 @@ def test_smooth_solve_builds_two_newton_matrices(monkeypatch):
     assert len(built) == 2
     assert report.residual_l2 <= 1e-14
     assert np.max(np.abs(A.coefficients - A_star.coefficients)) <= 1e-11
+
+
+def test_refinement_of_a_refined_state_adds_nothing(b8):
+    # these refinements reach the stopping measure's rounding floor, where a
+    # further step's gain is rounding: a fresh Newton step from there is not
+    # kept; on smooth unit-size potentials, whose floor the rounding scale
+    # covers (a large potential's floor can exceed it)
+    for a_callable in (lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x),
+                       lambda x: 0.6 * np.cos(2 * np.pi * x),
+                       lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x)):
+        _, n = forward(b8, a_callable)
+        state, _ = maxwellian_solver._dual_ascent(n, qm.SolverOptions())
+        assert state.residual_l2 < np.finfo(float).eps * np.linalg.norm(n.values)
+        refined, extra = maxwellian_solver._refine_once(n, state, 0.0, None)
+        assert extra == []
+        assert refined is state
 
 
 def test_warm_start_takes_dense_steps(b8, monkeypatch):

@@ -100,6 +100,28 @@ def test_assemble_cosine_entry():
     assert np.max(np.abs(K - K.T)) <= 1e-12
 
 
+def _quadrature_assembly(basis, A):
+    """The N-point trapezoid Galerkin matrix, exact since A e_p e_q has
+    degree <= 4M < N: the reference for the assembly from coefficients."""
+    E = basis.functions
+    G = (E * A.on_grid()) @ E.T / basis.N
+    K = 0.5 * (G + G.T)
+    K[np.diag_indices_from(K)] += basis.h_eigenvalues
+    return K
+
+
+@pytest.mark.parametrize("M", [1, 2, 8, 20, 64])
+def test_assemble_matches_quadrature_and_is_exactly_symmetric(M):
+    # on a power-of-two grid and on the odd N = 4M+1; every coefficient nonzero
+    rng = np.random.default_rng(M)
+    for basis in (qm.build_basis(M), qm.build_basis(M, 4 * M + 1)):
+        A = qm.ChemicalPotential(basis, rng.normal(0, 1, basis.D))
+        K = qm.assemble_hamiltonian_plus_potential(basis, A)
+        assert np.max(np.abs(K - _quadrature_assembly(basis, A))) <= (
+            1e-14 * (1.0 + np.max(np.abs(K))))
+        assert np.array_equal(K, K.T)
+
+
 def test_assemble_rejects_mismatched_basis(b3):
     other = qm.build_basis(4)
     A = qm.ChemicalPotential.constant(other, 1.0)
