@@ -249,14 +249,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low):
+    """argparse type: an integer >= low, else a usage error naming the flag."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -286,8 +289,8 @@ def _build_parser():
     p_verify = sub.add_parser("verify", help="solve, then run the inequality suite")
     common(p_verify)
     p_verify.add_argument("--density", required=True)
-    p_verify.add_argument("--samples", type=_positive_int, default=200)
-    p_verify.add_argument("--seed", type=int, default=0, metavar="U64")
+    p_verify.add_argument("--samples", type=_int_at_least(1), default=200)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0, metavar="U64")
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--out", required=True)
     p_verify.set_defaults(max_iter=SolverOptions.max_iter, density_out=None)

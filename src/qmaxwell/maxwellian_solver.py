@@ -87,8 +87,8 @@ class SolverOptions:
     epsilon_schedule: tuple = DEFAULT_SCHEDULE
 
     def __post_init__(self):
-        if self.tol_l2 <= 0.0:
-            raise ValueError("tol_l2 must be > 0")
+        if not 0.0 < self.tol_l2 < np.inf:
+            raise ValueError(f"tol_l2 must be finite and > 0, got {self.tol_l2!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         sched = tuple(float(e) for e in self.epsilon_schedule)

@@ -2,6 +2,9 @@
 loop over the public validators that it replaced."""
 
 import dataclasses
+import itertools
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,6 +60,69 @@ def test_batched_suite_equals_per_sample_oracle(solved, samples):
         "euler_lagrange_residual", "potential_reconstruction", "log_sobolev"]
     for got, want in zip(suite[:4], oracle_suite(basis, samples, seed)):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    """A check pool that keeps every submitted call and its future."""
+
+    def __init__(self, workers):
+        super().__init__(max_workers=workers)
+        self.submitted = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.submitted.append((fn, args, future))
+        return future
+
+
+@pytest.mark.parametrize("samples", [1, 31, 33, 200])
+def test_suite_bytes_do_not_depend_on_the_worker_count(solved, samples, monkeypatch):
+    basis, A, rho, n = solved
+    opts = qm.SolverOptions()
+    seed = 1000 * basis.M + samples
+    default = inequalities.run_inequality_suite(basis, A, rho, n, opts, samples, seed)
+    with _RecordingPool(1) as pool:
+        monkeypatch.setattr(inequalities, "_executor", lambda: pool)
+        single = inequalities.run_inequality_suite(basis, A, rho, n, opts, samples, seed)
+    assert len(pool.submitted) == 4 * -(-samples // inequalities.BLOCK)
+    assert [dataclasses.asdict(r) for r in single] == [dataclasses.asdict(r) for r in default]
+
+
+def test_first_failing_block_in_order_raises_after_every_check_settles(solved, monkeypatch):
+    basis, A, rho, n = solved
+    opts = qm.SolverOptions()
+    convexity, calls, failed = fn._convexity, itertools.count(1), set()
+
+    def failing(*args):
+        # every call from the 3rd on fails, the 3rd slowest, so that a later
+        # block can fail first and checks are still running when one fails
+        call, t0 = next(calls), args[-1][0]
+        if call >= 3:
+            time.sleep(0.05 if call == 3 else 0.02)
+            failed.add(t0)
+            raise RuntimeError(f"block with t[0] = {t0!r}")
+        return convexity(*args)
+
+    with _RecordingPool(2) as pool:
+        monkeypatch.setattr(inequalities, "_executor", lambda: pool)
+        monkeypatch.setattr(fn, "_convexity", failing)
+        with pytest.raises(RuntimeError) as raised:
+            inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
+        assert all(future.done() for _, _, future in pool.submitted)
+        # checks may start out of order: the first failed block in submission
+        # order raises, a middle block, and the draws stopped a window later
+        t0s = [args[1][0] for check, args, _ in pool.submitted
+               if check is inequalities._check_convexity]
+        first_failed = next(t0 for t0 in t0s if t0 in failed)
+        assert first_failed != t0s[-1]
+        assert str(raised.value) == f"block with t[0] = {first_failed!r}"
+        assert not any(check is inequalities._check_perturbation
+                       for check, _, _ in pool.submitted)
+
+        monkeypatch.setattr(fn, "_convexity", convexity)
+        suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
+        for got, want in zip(suite[:4], oracle_suite(basis, 200, 11)):
+            assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 def test_stacked_psd_check_finds_one_bad_slice():

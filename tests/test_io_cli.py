@@ -389,7 +389,7 @@ def test_cli_sweep_epsilon(tmp_path):
     assert float(budget[1].split(",")[0]) == 1e-2
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert run_cli("solve", "--no-such-flag") == 64
     assert run_cli("frobnicate") == 64
     assert run_cli() == 64
@@ -403,6 +403,11 @@ def test_cli_usage_errors(tmp_path):
     for samples in ("0", "-3"):
         assert run_cli("verify", "--density", str(tmp_path / "n.csv"), "--modes", "4",
                        "--samples", samples, "--out", str(tmp_path / "v.json")) == 64
+    # so is a negative seed, naming the flag
+    capsys.readouterr()
+    assert run_cli("verify", "--density", str(tmp_path / "n.csv"), "--modes", "4",
+                   "--seed", "-1", "--out", str(tmp_path / "v.json")) == 64
+    assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "v.json").exists()
 
 
@@ -425,6 +430,13 @@ def test_cli_input_errors(tmp_path, capsys):
                    "--out", str(tmp_path / "r.json")) == 3
     assert run_cli("sweep-epsilon", "--density", str(good), "--modes", "4",
                    "--schedule", ",,", "--out", str(tmp_path / "s.csv")) == 3
+    # a tolerance that is not finite and positive, before any solve
+    for command in ("solve", "verify"):
+        for tol in ("nan", "inf", "-inf"):
+            assert run_cli(command, "--density", str(good), "--modes", "4", f"--tol={tol}",
+                           "--out", str(tmp_path / "r.json")) == 3
+            assert "tol_l2 must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
     assert not (tmp_path / "s.csv").exists()
     # exp(-(H+A)) overflows: reported as such, not as a failed eigensolve
     capsys.readouterr()

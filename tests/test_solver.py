@@ -390,8 +390,9 @@ def test_full_step_taken_when_gain_is_below_rounding(c0, a, b):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        qm.SolverOptions(tol_l2=0.0)
+    for tol in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tol_l2 must be finite and > 0"):
+            qm.SolverOptions(tol_l2=tol)
     with pytest.raises(ValueError):
         qm.SolverOptions(epsilon_schedule=(1e-2, 1e-1))
     with pytest.raises(ValueError):
