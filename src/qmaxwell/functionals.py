@@ -20,7 +20,6 @@ Functions of a density operator read the spectra that its class checked,
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -233,28 +232,6 @@ def _hessian_from_spectrum(state: GibbsState) -> np.ndarray:
         coupling[:, k:] *= 2.0
         H = -(W * coupling.ravel()) @ W.T
         return 0.5 * (H + H.T)
-
-
-def _free_response(basis: SpectralBasis) -> np.ndarray:
-    """chi_q: -Hess J at A = 0 is diag(chi), and at a constant potential c
-    it is exp(-c) diag(chi)."""
-    return _free_chi(basis.M)[basis.wavenumbers()]
-
-
-@functools.cache
-def _free_chi(M: int) -> np.ndarray:
-    """chi(kappa) for wavenumbers kappa = 0..M, read-only and cached per M.
-
-    H has eigenfunctions exp(2 pi i m x), m = -M..M, so the response to a
-    potential of wavenumber kappa is chi(kappa) = sum_m Phi(mu_m, mu_{m+kappa})
-    over the pairs inside the basis, with mu_m = 4 pi^2 m^2; chi(0) is the
-    partition function Z0 = Tr exp(-H).
-    """
-    mu = (2.0 * np.pi * np.arange(-M, M + 1)) ** 2
-    phi = _exp_divided_differences(mu)
-    chi = np.array([np.trace(phi, offset=kappa) for kappa in range(M + 1)])
-    chi.setflags(write=False)
-    return chi
 
 
 def dual_hessian_matrix(A: ChemicalPotential) -> np.ndarray:

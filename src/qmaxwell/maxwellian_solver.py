@@ -6,14 +6,19 @@ The algorithm is damped Newton ascent on the concave dual
     J(A) = -Tr exp(-(H+A)) - integral of A n dx,
 
 whose gradient is the constraint residual n[exp(-(H+A))] - n, with an
-Armijo backtracking guard.  Each Newton step solves with the dense
-matrix -Hess J + 1e-12 I once its Cholesky factorization shows it
-positive definite; the step falls back to the gradient when that
-factorization fails or the slope is not positive.  The first step from
-the semiclassical guess uses the diagonal Newton matrix of the uniform
-equilibrium instead, unless its gain is rounding noise in J, and the
-closing refinement is a chord step with the last dense matrix, so a
-smooth solve builds two dense matrices.  Once the gain the Armijo test
+Armijo backtracking guard.  A cold solve starts at the pure-state (Bohm)
+potential P[(sqrt n)''/sqrt n] - log(mass): the maximizer is the Gibbs
+state exp(-(H+A)), and the gap 4 pi^2 of H makes it nearly the pure
+state mass |phi_0><phi_0| with phi_0 = sqrt(n / mass), whose eigen-
+equation gives that A in closed form.  The start is kept when its Gibbs
+state is finite and within tolerance; otherwise the ascent starts from
+whichever of it and the semiclassical guess -log n + log Z0 has the
+larger finite J.  Each Newton step solves with the dense matrix
+-Hess J + 1e-12 I once its Cholesky factorization shows it positive
+definite; the step falls back to the gradient when that factorization
+fails or the slope is not positive.  The closing refinement is a chord
+step with the last dense matrix, so a smooth solve that starts within
+tolerance builds one dense matrix.  Once the gain the Armijo test
 asks for is below the rounding slack of J, the full step is accepted iff
 it shrinks the coefficient gradient P(n[rho] - n), P the projection onto
 the basis: the part of the residual the dual controls.  A full step that
@@ -42,7 +47,6 @@ import numpy as np
 from .errors import BasisTooSmall, MaxIterExceeded
 from .functionals import (
     GibbsState,
-    _free_response,
     _hessian_from_spectrum,
     free_energy,
     penalized_free_energy,
@@ -123,10 +127,36 @@ def _evaluate(n: DensityProfile, a, eps: float) -> GibbsState:
     return GibbsState(ChemicalPotential(n.basis, np.asarray(a, dtype=float)), n, eps)
 
 
-def _initial_coefficients(basis: SpectralBasis, n: DensityProfile):
-    """Semiclassical first guess -log n + log Z0, exact for constant n."""
+def _semiclassical_coefficients(basis: SpectralBasis, n: DensityProfile):
+    """Semiclassical guess -log n + log Z0, exact for constant n."""
     z0 = float(np.sum(np.exp(-basis.h_eigenvalues)))
     return basis.project(-np.log(n.values) + np.log(z0))
+
+
+def _pure_state_coefficients(basis: SpectralBasis, n: DensityProfile):
+    """Bohm potential P[(sqrt n)''/sqrt n] - log(mass) e_0, exact for a pure
+    state: rho = w |phi><phi| with phi > 0 normalized has n = w phi^2, so
+    w = mass, and -phi'' + A phi = -log(w) phi gives A.  Scaling n by c
+    shifts a_0 by exactly -log c.  None when it overflows."""
+    root = np.sqrt(n.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = basis.project(spectral_derivative(root, order=2) / root)
+        a[0] -= np.log(n.mass)
+    return a if np.all(np.isfinite(a)) else None
+
+
+def _cold_start(n: DensityProfile, opts: SolverOptions, eps: float) -> GibbsState:
+    """The pure-state start if its J_eps is finite and its stopping measure
+    within tol_l2; otherwise whichever of it and the semiclassical guess
+    has the larger finite J_eps, and the guess when neither J_eps is finite."""
+    a = _pure_state_coefficients(n.basis, n)
+    pure = None if a is None else _evaluate(n, a, eps)
+    if pure is None or not np.isfinite(pure.objective):
+        return _evaluate(n, _semiclassical_coefficients(n.basis, n), eps)
+    if _stopping_measure(pure, eps) <= opts.tol_l2:
+        return pure
+    guess = _evaluate(n, _semiclassical_coefficients(n.basis, n), eps)
+    return guess if np.isfinite(guess.objective) and guess.objective > pure.objective else pure
 
 
 def _suggest_modes(residual, M: int, tol: float) -> int | None:
@@ -164,7 +194,7 @@ def _newton_direction(state: GibbsState, shift: float, rhs):
     not positive definite: the Cholesky factorization is the test (it lets
     a NaN entry through), one LU solve gives d."""
     S = -_hessian_from_spectrum(state)
-    S[np.diag_indices_from(S)] += shift
+    S.flat[::S.shape[0] + 1] += shift
     if not np.all(np.isfinite(S)):
         raise np.linalg.LinAlgError("Newton matrix is not finite")
     np.linalg.cholesky(S)
@@ -182,22 +212,9 @@ def _ascent_direction(state: GibbsState, eps: float = 0.0):
         log.info("Newton matrix not positive definite; falling back to gradient ascent")
         d, S = g, None
     slope = float(g @ d)
-    if slope <= 0.0:
+    if not slope > 0.0:  # a NaN slope (an overflowed solve) fails too
         d, slope, S = g, float(g @ g), None
     return d, slope, S
-
-
-def _free_direction(state: GibbsState, n: DensityProfile, eps: float):
-    """(d, slope, None): the Newton direction of the uniform equilibrium.
-
-    At a constant potential c, -Hess J = exp(-c) diag(chi) is diagonal
-    (functionals._free_response), and exp(-c) chi_0 = exp(-c) Z0 is its
-    mass; the c whose mass is that of n, as the semiclassical guess's is,
-    gives exp(-c) = mass(n) / chi_0.  O(D^2), no dense matrix."""
-    chi = _free_response(n.basis)
-    g = state.grad_coeffs
-    d = g / (n.mass / chi[0] * chi + NEWTON_SHIFT + eps)
-    return d, float(g @ d), None
 
 
 def _rises_by(trial: GibbsState, state: GibbsState, gain: float) -> bool:
@@ -207,14 +224,13 @@ def _rises_by(trial: GibbsState, state: GibbsState, gain: float) -> bool:
 
 def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
                  eta: float = 0.0, initial=None):
-    """Damped Newton ascent on J_eps (J at eps = 0) from ``initial`` or the
-    semiclassical guess; returns (state, history) once the stopping measure
-    is within tol_l2.  Raises BasisTooSmall at a rounding floor the basis
-    causes (eps = 0 only) and MaxIterExceeded when the budget runs out.
-    ``eta`` only selects the entropy of a failure's report."""
+    """Damped Newton ascent on J_eps (J at eps = 0) from ``initial`` or,
+    cold, from :func:`_cold_start`; returns (state, history) once the
+    stopping measure is within tol_l2.  Raises BasisTooSmall at a rounding
+    floor the basis causes (eps = 0 only) and MaxIterExceeded when the
+    budget runs out.  ``eta`` only selects the entropy of a failure's report."""
     basis = n.basis
-    a0 = _initial_coefficients(basis, n) if initial is None else initial
-    state = _evaluate(n, a0, eps)
+    state = _cold_start(n, opts, eps) if initial is None else _evaluate(n, initial, eps)
     history = []
     newton = None  # the Newton matrix of the last step, None unless it was dense
     for iteration in range(opts.max_iter):
@@ -225,13 +241,7 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
-        # the semiclassical guess is near the uniform equilibrium, whose
-        # Newton matrix is diagonal; a floor verdict needs a dense step
-        free = iteration == 0 and initial is None
-        d, slope, newton = (_free_direction(state, n, eps) if free
-                            else _ascent_direction(state, eps))
-        if free and ARMIJO_C * slope <= fp_slack:
-            d, slope, newton = _ascent_direction(state, eps)
+        d, slope, newton = _ascent_direction(state, eps)
         alpha = 1.0
         trial = _evaluate(n, state.potential.coefficients + d, eps)
         # once the gain Armijo asks for is rounding noise in J it certifies
@@ -343,9 +353,10 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
 
     rho_eps = exp(-(H+A_eps)), where A_eps maximizes the strictly concave
     dual J_eps(A) = J(A) - (eps/2)||A||_L2^2 by the same Newton ascent as
-    the constrained solve, cold-started from its semiclassical guess or
-    warm-started from the coefficients ``initial``.  It stops when the
-    in-basis defect ||a - P(n[rho] - n)/eps|| is at most tol_l2, and raises
+    the constrained solve, cold-started from the better of the pure-state
+    potential and the semiclassical guess, or warm-started from the
+    coefficients ``initial``.  It stops when the in-basis defect
+    ||a - P(n[rho] - n)/eps|| is at most tol_l2, and raises
     MaxIterExceeded otherwise.  Gibbs-form iterates are strictly positive
     definite, so eta never enters the iteration; it only selects the
     regularized entropy in the reported objective.

@@ -284,7 +284,7 @@ def assemble_hamiltonian_plus_potential(basis: SpectralBasis,
     """
     _check_same_basis(basis, A.basis)
     K = _multiplication_matrix(basis, A.coefficients)
-    K[np.diag_indices_from(K)] += basis.h_eigenvalues
+    K.flat[::basis.D + 1] += basis.h_eigenvalues
     return K
 
 
@@ -450,14 +450,15 @@ def sobolev_norm(u, s: int) -> float:
     return float(np.sqrt(np.sum(weights * mag2)))
 
 
-def spectral_derivative(values) -> np.ndarray:
-    """d/dx along the last axis via the FFT; the Nyquist mode differentiates to 0."""
+def spectral_derivative(values, order: int = 1) -> np.ndarray:
+    """d^order/dx^order along the last axis via the FFT; for odd orders the
+    Nyquist mode differentiates to 0."""
     v = np.asarray(values, dtype=float)
     N = v.shape[-1]
     X = np.fft.rfft(v, axis=-1)
     k = np.arange(X.shape[-1])
-    X = X * (2j * np.pi * k)
-    if N % 2 == 0:
+    X = X * (2j * np.pi * k) ** order
+    if N % 2 == 0 and order % 2:
         X[..., -1] = 0.0
     return np.fft.irfft(X, n=N, axis=-1)
 

@@ -264,9 +264,14 @@ def test_hessian_matrix_with_inactive_states(constant):
 
 @pytest.mark.parametrize("M, N", [(1, None), (4, None), (20, None), (4, 17), (20, 81)])
 def test_free_response_is_the_constant_potential_hessian(M, N):
-    # at a constant potential c, -Hess J = exp(-c) diag(chi) in closed form
+    # at a constant potential c, -Hess J = exp(-c) diag(chi) in closed form:
+    # H has eigenfunctions exp(2 pi i m x), m = -M..M, so the response at
+    # wavenumber kappa is chi(kappa) = sum_m Phi(mu_m, mu_{m+kappa}) over the
+    # pairs inside the basis, Phi the divided difference of exp(-s)
     basis = qm.build_basis(M, N)
-    chi = fn._free_response(basis)
+    mu = (2.0 * np.pi * np.arange(-M, M + 1)) ** 2
+    phi = fn._exp_divided_differences(mu)
+    chi = np.array([np.trace(phi, offset=kappa) for kappa in range(M + 1)])[basis.wavenumbers()]
     for c in (0.0, 0.7):
         H = qm.dual_hessian_matrix(qm.ChemicalPotential.constant(basis, c))
         expected = np.exp(-c) * chi

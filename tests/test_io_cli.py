@@ -280,7 +280,8 @@ def test_cli_solve_forward_roundtrip(tmp_path):
 
 def test_cli_solve_exit_2_on_budget(tmp_path):
     density = tmp_path / "rt.csv"
-    assert run_cli("forward", "--potential", "cos(2*pi*x)", "--modes", "4",
+    # one step does not solve this input
+    assert run_cli("forward", "--potential", "50*cos(2*pi*2*x)", "--modes", "4",
                    "--out", str(density)) == 0
     code = run_cli("solve", "--density", str(density), "--modes", "4",
                    "--max-iter", "1", "--out", str(tmp_path / "r.json"),

@@ -122,6 +122,23 @@ def test_newton_falls_back_to_gradient_when_not_positive_definite(b4, monkeypatc
         assert slope == float(g @ g)
 
 
+def test_overflowed_newton_solve_falls_back_to_gradient(b4):
+    # n spans 5e-324 to 1e300: from the semiclassical guess the gradient is
+    # about 1e298, the Newton matrix is positive definite, and its solve
+    # overflows to NaN, whose slope must fail the slope test like a
+    # non-positive one; a NaN direction made the next trial's eigh raise
+    # LinAlgError
+    values = np.full(b4.N, 5e-324)
+    values[b4.N // 2] = 1e300
+    n = qm.DensityProfile(b4, values)
+    a = maxwellian_solver._semiclassical_coefficients(b4, n)
+    state = GibbsState(qm.ChemicalPotential(b4, a), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, _, S = maxwellian_solver._ascent_direction(state)
+    assert d is state.grad_coeffs
+    assert S is None
+
+
 def test_overflowed_weights_fall_back_to_gradient():
     # at A = -800 + 0.5 sqrt2 cos 2 pi x the three lowest weights exp(-lambda)
     # overflow; a cut relative to w_0 = inf must not drop every state, which
@@ -150,35 +167,26 @@ def _spy(monkeypatch, name, record):
 
 
 def _spy_directions(monkeypatch):
-    """The kind of each search direction in order (free, dense or gradient),
-    and the iterate it was computed at."""
-    kinds, states = [], []
-
-    def record(kind):
-        def append(args, out):
-            kinds.append(kind(out))
-            states.append(args[0])
-        return append
-
-    _spy(monkeypatch, "_free_direction", record(lambda out: "free"))
+    """The kind of each search direction in order: dense or gradient."""
+    kinds = []
     _spy(monkeypatch, "_ascent_direction",
-         record(lambda out: "gradient" if out[2] is None else "dense"))
-    return kinds, states
+         lambda args, out: kinds.append("gradient" if out[2] is None else "dense"))
+    return kinds
 
 
-def test_smooth_solve_builds_two_newton_matrices(monkeypatch):
-    # the solve-m20 pattern: a free first step from the semiclassical guess,
-    # two dense Newton steps, and a chord refinement that reuses the last
-    # Newton matrix
+def test_smooth_solve_builds_one_newton_matrix(monkeypatch):
+    # the solve-m20 pattern: the pure-state start is within tolerance, no
+    # Newton step is taken, and the refinement attempt builds the one Newton
+    # matrix; it is not kept at the rounding floor
     b20 = qm.build_basis(20)
     A_star, n = forward(b20, lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
     built = []
     _spy(monkeypatch, "_hessian_from_spectrum", lambda args, out: built.append(out))
-    kinds, _ = _spy_directions(monkeypatch)
+    kinds = _spy_directions(monkeypatch)
     A, _, report = qm.solve_maxwellian(n)
-    assert kinds == ["free", "dense", "dense"]
-    assert len(report.history) == 4
-    assert len(built) == 2
+    assert kinds == ["dense"]  # the refinement's direction
+    assert report.history == []
+    assert len(built) == 1
     assert report.residual_l2 <= 1e-14
     assert np.max(np.abs(A.coefficients - A_star.coefficients)) <= 1e-11
 
@@ -201,12 +209,50 @@ def test_refinement_of_a_refined_state_adds_nothing(b8):
 
 def test_warm_start_takes_dense_steps(b8, monkeypatch):
     _, n = forward(b8, lambda x: 0.6 * np.cos(2 * np.pi * x))
-    kinds, _ = _spy_directions(monkeypatch)
     _, A_cold, _ = qm.solve_penalized(n, 1e-2)
-    assert kinds[0] == "free"
-    kinds.clear()
+    kinds = _spy_directions(monkeypatch)
     qm.solve_penalized(n, 1e-3, initial=A_cold.coefficients)
-    assert kinds and "free" not in kinds
+    assert kinds and set(kinds) == {"dense"}
+
+
+def test_pure_state_start_is_near_the_solution():
+    # a smooth Gibbs state at M = 20 is a pure state to within exp(-4 pi^2)
+    b20 = qm.build_basis(20)
+    A_star, n = forward(b20, lambda x: 0.7 * np.cos(2 * np.pi * x) - 0.4 * np.sin(4 * np.pi * x))
+    start = maxwellian_solver._cold_start(n, qm.SolverOptions(), 0.0)
+    assert np.max(np.abs(start.potential.coefficients - A_star.coefficients)) <= 1e-10
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-100, 1e-10])
+def test_scaled_density_shifts_the_constant(b8, c):
+    # n -> c n shifts a_0 by exactly -log c; the semiclassical start
+    # "converged" 0.67, 0.67 and 0.11 away on these inputs, since the
+    # absolute tol_l2 is loose on a density of mass c
+    A_star, n = forward(b8, lambda x: np.cos(2 * np.pi * x))
+    A, _, report = qm.solve_maxwellian(qm.DensityProfile(b8, c * n.values))
+    expected = A_star.coefficients.copy()
+    expected[0] -= np.log(c)
+    assert np.max(np.abs(A.coefficients - expected)) <= 1e-10
+    assert report.residual_l2 <= 1e-9
+
+
+def _narrow_density(basis):
+    # (sqrt n)''/sqrt n reaches about 3e7: the pure-state potential's Gibbs
+    # weights overflow, and the dual objective rejects that start
+    return qm.DensityProfile(basis, 1e-300 + np.exp(-400.0 * (basis.grid - 0.5) ** 2))
+
+
+def test_overflowing_pure_state_start_is_rejected_by_the_objective():
+    # RuntimeWarnings are errors under pytest; started at the pure-state
+    # potential, M = 32 emits "invalid value encountered in matmul" and
+    # M = 8 raises LinAlgError
+    n = _narrow_density(qm.build_basis(32))
+    a = maxwellian_solver._pure_state_coefficients(n.basis, n)
+    assert not np.isfinite(GibbsState(qm.ChemicalPotential(n.basis, a), n, 0.0).objective)
+    _, _, report = qm.solve_maxwellian(n)
+    assert report.residual_l2 <= 1e-9
+    with pytest.raises(MaxIterExceeded):
+        qm.solve_maxwellian(_narrow_density(qm.build_basis(8)))
 
 
 def test_duality_gap_bounds(roundtrip8):
@@ -224,7 +270,8 @@ def test_el_residual_bound_at_success(roundtrip8):
 
 
 def test_max_iterations_carries_report(b4):
-    _, n = forward(b4, lambda x: np.cos(2 * np.pi * x))
+    # one step does not solve this input; the default budget does
+    _, n = forward(b4, lambda x: 50.0 * np.cos(4 * np.pi * x))
     with pytest.raises(MaxIterExceeded) as info:
         qm.solve_maxwellian(n, qm.SolverOptions(max_iter=1))
     assert info.value.report is not None
@@ -309,32 +356,11 @@ def test_basis_too_small_retry_converges():
 def test_basis_too_small_rests_on_a_dense_step(case, monkeypatch):
     M, density, least = _TOO_SMALL[case]
     basis = qm.build_basis(M)
-    kinds, _ = _spy_directions(monkeypatch)
+    kinds = _spy_directions(monkeypatch)
     with pytest.raises(BasisTooSmall) as info:
         qm.solve_maxwellian(qm.DensityProfile(basis, density(basis.grid)),
                             qm.SolverOptions(max_iter=200))
     assert info.value.suggested_modes >= least
-    assert kinds[0] == "free" and kinds[-1] == "dense"
-
-
-def test_unresolved_free_step_takes_the_dense_direction(monkeypatch):
-    # a free step whose gain is below J's rounding slack cannot mark the
-    # rounding floor: that iteration takes the dense direction instead
-    M, density, least = _TOO_SMALL["cos6-M1"]
-    basis = qm.build_basis(M)
-    free = maxwellian_solver._free_direction
-
-    def negligible(state, n, eps):
-        d, slope, S = free(state, n, eps)
-        return 1e-30 * d, 1e-30 * slope, S
-
-    monkeypatch.setattr(maxwellian_solver, "_free_direction", negligible)
-    kinds, states = _spy_directions(monkeypatch)
-    with pytest.raises(BasisTooSmall) as info:
-        qm.solve_maxwellian(qm.DensityProfile(basis, density(basis.grid)))
-    assert info.value.suggested_modes >= least
-    assert kinds[:2] == ["free", "dense"]
-    assert states[1] is states[0]  # the same iteration, not the next one
     assert kinds[-1] == "dense"
 
 

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import qmaxwell as qm
 from qmaxwell.errors import NotPositiveSemidefinite
+from qmaxwell.spectral_core import spectral_derivative
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
 
@@ -313,6 +314,24 @@ def test_sobolev_multiplier_monotone(seed):
 def test_sobolev_rejects_other_exponents(b3):
     with pytest.raises(ValueError):
         qm.sobolev_norm(np.ones(b3.N), 2)
+
+
+@pytest.mark.parametrize("N", [32, 33])
+def test_spectral_derivatives_of_a_trig_polynomial(N):
+    # in the basis, d/dx swaps and scales the cos/sin rows and d^2/dx^2 = -H;
+    # the Nyquist mode cos(pi N x) of an even grid differentiates to 0 once
+    # and to -(pi N)^2 cos(pi N x) twice
+    basis = qm.build_basis(7, N)
+    c = np.random.default_rng(3).normal(size=basis.D)
+    u = basis.synthesize(c)
+    assert_allclose(spectral_derivative(u), c @ basis.derivatives, rtol=0, atol=1e-10)
+    assert_allclose(spectral_derivative(u, order=2),
+                    basis.synthesize(-basis.h_eigenvalues * c), rtol=0, atol=1e-9)
+    if N % 2 == 0:
+        nyquist = np.cos(np.pi * N * basis.grid)
+        assert_allclose(spectral_derivative(nyquist), 0.0, rtol=0, atol=1e-9)
+        assert_allclose(spectral_derivative(nyquist, order=2),
+                        -(np.pi * N) ** 2 * nyquist, rtol=1e-12, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
