@@ -17,16 +17,18 @@ larger finite J.  Each Newton step solves with the dense matrix
 -Hess J + 1e-12 I once its Cholesky factorization shows it positive
 definite; the step falls back to the gradient when that factorization
 fails or the slope is not positive.  The closing refinement is a chord
-step with the last dense matrix, so a smooth solve that starts within
-tolerance builds one dense matrix.  Once the gain the Armijo test
-asks for is below the rounding slack of J, the full step is accepted iff
-it shrinks the coefficient gradient P(n[rho] - n), P the projection onto
-the basis: the part of the residual the dual controls.  A full step that
-cannot shrink it marks the dual's rounding floor.  There BasisTooSmall
-is raised when the residual's in-basis part is within tol_l2 and its
-out-of-basis part is not; any other floor goes on to the backtracking
-search and, if the budget runs out, MaxIterExceeded.  The penalized
-continuation path minimizes
+step with the last dense matrix.  It is not computed when the stopping
+measure is already within its rounding scale, where no step could be
+kept, so a smooth solve that starts at that floor builds no dense
+matrix.  Once the gain the Armijo test asks for is below the rounding
+slack of J, the full step is accepted iff it shrinks the coefficient
+gradient P(n[rho] - n), P the projection onto the basis: the part of
+the residual the dual controls.  A full step that cannot shrink it
+marks the dual's rounding floor.  There BasisTooSmall is raised when the
+residual's in-basis part is within tol_l2 and its out-of-basis part is
+not; any other floor goes on to the backtracking search and, if the
+budget runs out, MaxIterExceeded.  The penalized continuation path
+minimizes
 
     F_eps(rho) = F(rho) + (1/2 eps) ||n[rho] - n||_L2^2
 
@@ -173,8 +175,12 @@ def _suggest_modes(residual, M: int, tol: float) -> int | None:
 
 def _residual_split(state: GibbsState):
     """(in-basis, out-of-basis) L2 norms of n[rho] - n at eps = 0, split by
-    Parseval: the basis is orthonormal and the quadrature exact."""
-    inside = float(np.linalg.norm(state.grad_coeffs))
+    Parseval: the basis is orthonormal and the quadrature exact.  An
+    overflowed residual reads inf outside, not the NaN of inf - inf."""
+    with np.errstate(over="ignore"):  # an overflowed norm reads inf
+        inside = float(np.linalg.norm(state.grad_coeffs))
+    if state.residual_l2 == np.inf:
+        return inside, np.inf
     return inside, float(np.sqrt(max(state.residual_l2**2 - inside**2, 0.0)))
 
 
@@ -213,7 +219,8 @@ def _ascent_direction(state: GibbsState, eps: float = 0.0):
         d, S = g, None
     slope = float(g @ d)
     if not slope > 0.0:  # a NaN slope (an overflowed solve) fails too
-        d, slope, S = g, float(g @ g), None
+        with np.errstate(over="ignore"):  # a gradient too large to square gives slope inf
+            d, slope, S = g, float(g @ g), None
     return d, slope, S
 
 
@@ -226,9 +233,12 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
                  eta: float = 0.0, initial=None):
     """Damped Newton ascent on J_eps (J at eps = 0) from ``initial`` or,
     cold, from :func:`_cold_start`; returns (state, history) once the
-    stopping measure is within tol_l2.  Raises BasisTooSmall at a rounding
-    floor the basis causes (eps = 0 only) and MaxIterExceeded when the
-    budget runs out.  ``eta`` only selects the entropy of a failure's report."""
+    stopping measure is within tol_l2, after :func:`_refine_once`, which
+    computes no step from a state at the measure's rounding floor: there
+    its keep rule could not hold, so the skip changes no outcome, only
+    the cost.  Raises BasisTooSmall at a rounding floor the basis causes
+    (eps = 0 only) and MaxIterExceeded when the budget runs out.  ``eta``
+    only selects the entropy of a failure's report."""
     basis = n.basis
     state = _cold_start(n, opts, eps) if initial is None else _evaluate(n, initial, eps)
     history = []
@@ -248,8 +258,9 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
         # nothing: the full step is judged by the gradient the dual controls,
         # and a full step that cannot shrink it marks the dual's rounding floor
         unresolved = ARMIJO_C * slope <= fp_slack
-        g_norm = np.linalg.norm(state.grad_coeffs)
-        full_step = unresolved and np.linalg.norm(trial.grad_coeffs) < g_norm
+        with np.errstate(over="ignore"):  # an overflowed norm reads inf
+            g_norm = np.linalg.norm(state.grad_coeffs)
+            full_step = unresolved and np.linalg.norm(trial.grad_coeffs) < g_norm
         if unresolved and not full_step and eps == 0.0:
             inside, outside = _residual_split(state)
             if inside <= opts.tol_l2 < outside:
@@ -301,14 +312,20 @@ def _refine_once(n, state, eps, newton):
     It bounds the measure's rounding floor on unit-size potentials,
     measured at 2-7 u ||n||_L2 at D = 41 and up to 9 at D = 129, so there
     a step from the floor is never kept, and refining a state that is at
-    the floor adds nothing."""
+    the floor adds nothing.  A state whose measure is already within the
+    scale is returned with no step computed: a measure is >= 0, so no
+    trial could shrink it by more than the scale, and the outcome is the
+    one the step would have had."""
+    scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
+    measure = _stopping_measure(state, eps)
+    if measure <= scale:
+        return state, []
     if newton is None:
         d, _, _ = _ascent_direction(state, eps)
     else:
         d = np.linalg.solve(newton, state.grad_coeffs)
     trial = _evaluate(n, state.potential.coefficients + d, eps)
-    scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
-    if _stopping_measure(trial, eps) < _stopping_measure(state, eps) - scale:
+    if _stopping_measure(trial, eps) < measure - scale:
         entry = HistoryEntry(residual=trial.residual_l2, step_size=1.0,
                              objective=trial.objective)
         return trial, [entry]

@@ -426,10 +426,11 @@ def _grid_spectrum(values):
     N = v.size
     X = np.fft.rfft(v)
     k = np.arange(X.size)
-    mag2 = 2.0 * np.abs(X) ** 2 / N**2
-    mag2[0] = (X[0].real / N) ** 2
-    if N % 2 == 0:
-        mag2[-1] = (X[-1].real / N) ** 2
+    with np.errstate(over="ignore"):  # a coefficient too large to square reads inf
+        mag2 = 2.0 * np.abs(X) ** 2 / N**2
+        mag2[0] = (X[0].real / N) ** 2
+        if N % 2 == 0:
+            mag2[-1] = (X[-1].real / N) ** 2
     return k, mag2
 
 

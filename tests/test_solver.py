@@ -174,37 +174,107 @@ def _spy_directions(monkeypatch):
     return kinds
 
 
-def test_smooth_solve_builds_one_newton_matrix(monkeypatch):
-    # the solve-m20 pattern: the pure-state start is within tolerance, no
-    # Newton step is taken, and the refinement attempt builds the one Newton
-    # matrix; it is not kept at the rounding floor
+def test_smooth_solve_builds_no_newton_matrix(monkeypatch):
+    # the solve-m20 pattern: the pure-state start is within tolerance and at
+    # the stopping measure's rounding floor, so no Newton step is taken and
+    # the refinement, which could not be kept there, is not computed
     b20 = qm.build_basis(20)
     A_star, n = forward(b20, lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
     built = []
     _spy(monkeypatch, "_hessian_from_spectrum", lambda args, out: built.append(out))
     kinds = _spy_directions(monkeypatch)
     A, _, report = qm.solve_maxwellian(n)
-    assert kinds == ["dense"]  # the refinement's direction
+    assert kinds == []
     assert report.history == []
-    assert len(built) == 1
+    assert built == []
     assert report.residual_l2 <= 1e-14
     assert np.max(np.abs(A.coefficients - A_star.coefficients)) <= 1e-11
 
 
-def test_refinement_of_a_refined_state_adds_nothing(b8):
+def test_refinement_of_a_refined_state_adds_nothing(b8, monkeypatch):
     # these refinements reach the stopping measure's rounding floor, where a
-    # further step's gain is rounding: a fresh Newton step from there is not
-    # kept; on smooth unit-size potentials, whose floor the rounding scale
-    # covers (a large potential's floor can exceed it)
+    # further step's gain is rounding: no step is computed from there; on
+    # smooth unit-size potentials, whose floor the rounding scale covers (a
+    # large potential's floor can exceed it)
     for a_callable in (lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x),
                        lambda x: 0.6 * np.cos(2 * np.pi * x),
                        lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x)):
         _, n = forward(b8, a_callable)
         state, _ = maxwellian_solver._dual_ascent(n, qm.SolverOptions())
         assert state.residual_l2 < np.finfo(float).eps * np.linalg.norm(n.values)
-        refined, extra = maxwellian_solver._refine_once(n, state, 0.0, None)
+        with monkeypatch.context() as patch:
+            calls = []
+            for name in ("_evaluate", "_ascent_direction"):
+                _spy(patch, name, lambda args, out, name=name: calls.append(name))
+            refined, extra = maxwellian_solver._refine_once(n, state, 0.0, None)
+        assert calls == []
         assert extra == []
         assert refined is state
+
+
+def _refine_always(n, state, eps, newton):
+    """_refine_once without its skip at the rounding floor: the step is
+    always computed, then judged by the same keep rule."""
+    if newton is None:
+        d, _, _ = maxwellian_solver._ascent_direction(state, eps)
+    else:
+        d = np.linalg.solve(newton, state.grad_coeffs)
+    trial = maxwellian_solver._evaluate(n, state.potential.coefficients + d, eps)
+    scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
+    measure = maxwellian_solver._stopping_measure
+    if measure(trial, eps) < measure(state, eps) - scale:
+        entry = maxwellian_solver.HistoryEntry(residual=trial.residual_l2, step_size=1.0,
+                                               objective=trial.objective)
+        return trial, [entry]
+    return state, []
+
+
+@pytest.mark.parametrize("M", [4, 8, 20])
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-6])
+def test_skipped_refinement_keeps_the_outcome(M, eps):
+    # the skip at the rounding floor returns what computing the step would:
+    # on converged states (below the scale) and on states nudged off them by
+    # 1e-12 and 1e-10 (about 1e2 and 1e4 times above it), by a fresh Newton
+    # step and by a chord step with the matrix of a Newton step from a state
+    # 1e-3 away
+    basis = qm.build_basis(M)
+    _, n = forward(basis, lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
+    solved, _ = maxwellian_solver._dual_ascent(n, qm.SolverOptions(), eps)
+    a = solved.potential.coefficients
+    v = np.random.default_rng(M).standard_normal(basis.D)
+    _, _, chord = maxwellian_solver._ascent_direction(
+        maxwellian_solver._evaluate(n, a + 1e-3 * v, eps), eps)
+    assert chord is not None
+    scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
+    below = []
+    for delta in (0.0, 1e-12, 1e-10):
+        state = maxwellian_solver._evaluate(n, a + delta * v, eps)
+        below.append(maxwellian_solver._stopping_measure(state, eps) <= scale)
+        for newton in (None, chord):
+            expected, expected_extra = _refine_always(n, state, eps, newton)
+            refined, extra = maxwellian_solver._refine_once(n, state, eps, newton)
+            assert np.array_equal(refined.potential.coefficients,
+                                  expected.potential.coefficients)
+            assert extra == expected_extra
+    assert below == [True, False, False]
+
+
+def test_refinement_above_the_rounding_scale_is_kept():
+    # wavenumber 4 at M = 8 puts the pure-state start above the rounding
+    # scale (7e3 times it) while within tol_l2: the refinement must still run
+    # and be kept.  cos 2 pi x + 0.3 sin 4 pi x alone starts at 0.3 times the
+    # scale, at its floor, and records no refinement
+    b8 = qm.build_basis(8)
+    A_star, n = forward(b8, lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x)
+                        + 0.5 * np.cos(8 * np.pi * x))
+    start = maxwellian_solver._cold_start(n, qm.SolverOptions(), 0.0)
+    assert np.finfo(float).eps * np.linalg.norm(n.values) < start.residual_l2 <= 1e-9
+    A, _, report = qm.solve_maxwellian(n)
+    assert len(report.history) == 1
+    assert report.history[0].step_size == 1.0
+    assert report.history[0].residual < start.residual_l2
+    assert report.residual_l2 == report.history[0].residual
+    assert np.max(np.abs(A.coefficients - A_star.coefficients)) <= 1e-11
 
 
 def test_warm_start_takes_dense_steps(b8, monkeypatch):
@@ -253,6 +323,19 @@ def test_overflowing_pure_state_start_is_rejected_by_the_objective():
     assert report.residual_l2 <= 1e-9
     with pytest.raises(MaxIterExceeded):
         qm.solve_maxwellian(_narrow_density(qm.build_basis(8)))
+
+
+def test_extreme_range_density_fails_without_warnings(b4):
+    # one 1e300 sample among 5e-324 ones: the gradient, its norms and the
+    # report's H^-1 norm overflow.  RuntimeWarnings are errors under pytest,
+    # and the out-of-basis part of an overflowed residual reads inf, not the
+    # NaN of inf - inf
+    values = np.full(b4.N, 5e-324)
+    values[0] = 1e300
+    with pytest.raises(MaxIterExceeded) as info:
+        qm.solve_maxwellian(qm.DensityProfile(b4, values))
+    assert "nan" not in str(info.value)
+    assert "inf of it lies beyond wavenumber 4" in str(info.value)
 
 
 def test_duality_gap_bounds(roundtrip8):
