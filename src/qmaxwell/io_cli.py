@@ -199,11 +199,6 @@ def parse_potential(arg: str, basis: SpectralBasis) -> ChemicalPotential:
 # ---------------------------------------------------------------------------
 # report JSON
 
-def _inequality_dict(rep: fn.InequalityReport) -> dict:
-    return {"name": rep.name, "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
-            "holds": rep.holds, "strict": rep.strict, "diagnostic": rep.diagnostic}
-
-
 def build_report_dict(basis, opts: SolverOptions, report, A: ChemicalPotential,
                       density_achieved, inequalities=()) -> dict:
     return {
@@ -224,13 +219,26 @@ def build_report_dict(basis, opts: SolverOptions, report, A: ChemicalPotential,
         },
         "potential": {"fourier_coefficients": [float(c) for c in A.coefficients]},
         "density_achieved": {"values": [float(v) for v in density_achieved]},
-        "inequalities": [_inequality_dict(r) for r in inequalities],
+        "inequalities": [dataclasses.asdict(r) for r in inequalities],
         "history": [dataclasses.asdict(h) for h in report.history],
     }
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def serialize_report(report_dict: dict) -> str:
-    return json.dumps(report_dict, indent=2) + "\n"
+    """RFC 8259 JSON: a non-finite float, such as the residual of a solve
+    that overflowed, is written as null."""
+    return json.dumps(_finite_or_null(report_dict), indent=2, allow_nan=False) + "\n"
 
 
 def parse_report(text: str) -> dict:

@@ -10,21 +10,19 @@ Armijo backtracking guard.  A cold solve starts at the pure-state (Bohm)
 potential P[(sqrt n)''/sqrt n] - log(mass): the maximizer is the Gibbs
 state exp(-(H+A)), and the gap 4 pi^2 of H makes it nearly the pure
 state mass |phi_0><phi_0| with phi_0 = sqrt(n / mass), whose eigen-
-equation gives that A in closed form.  The start is kept when its Gibbs
-state is finite and within tolerance; otherwise the ascent starts from
-whichever of it and the semiclassical guess -log n + log Z0 has the
-larger finite J.  Each Newton step solves with the dense matrix
+equation gives that A in closed form.  The semiclassical guess
+-log n + log Z0 is the start only when that potential overflows or its
+J is not finite.  Each Newton step solves with the dense matrix
 -Hess J + 1e-12 I once its Cholesky factorization shows it positive
 definite; the step falls back to the gradient when that factorization
-fails or the slope is not positive.  The closing refinement is a chord
-step with the last dense matrix.  It is not computed when the stopping
-measure is already within its rounding scale, where no step could be
-kept, so a smooth solve that starts at that floor builds no dense
-matrix.  Once the gain the Armijo test asks for is below the rounding
-slack of J, the full step is accepted iff it shrinks the coefficient
-gradient P(n[rho] - n), P the projection onto the basis: the part of
-the residual the dual controls.  A full step that cannot shrink it
-marks the dual's rounding floor.  There BasisTooSmall is raised when the
+fails or the slope is not positive.  The closing refinement is one more
+such step.  It is not computed when the stopping measure is already
+within its rounding scale, where no step could be kept, so a smooth
+solve that starts at that floor builds no dense matrix.  Once the gain
+the Armijo test asks for is below the rounding slack of J, the full step
+is accepted iff it shrinks the coefficient gradient P(n[rho] - n), P the
+projection onto the basis: the part of the residual the dual controls.
+A full step that cannot shrink it marks the dual's rounding floor.  There BasisTooSmall is raised when the
 residual's in-basis part is within tol_l2 and its out-of-basis part is
 not; any other floor goes on to the backtracking search and, if the
 budget runs out, MaxIterExceeded.  The penalized continuation path
@@ -36,7 +34,8 @@ along a descending eps schedule.  Each penalized minimizer is the Gibbs
 state of the maximizer A_eps of the strictly concave dual
 J_eps(A) = J(A) - (eps/2)||A||_L2^2, and the same Newton ascent serves
 both duals: at eps > 0 it stops on the in-basis defect
-||a - P(n[rho] - n)/eps||.
+||a - P(n[rho] - n)/eps||, once that is within tol_l2 or within its
+rounding scale u ||n||_2 / eps, whichever is larger.
 """
 
 from __future__ import annotations
@@ -147,18 +146,15 @@ def _pure_state_coefficients(basis: SpectralBasis, n: DensityProfile):
     return a if np.all(np.isfinite(a)) else None
 
 
-def _cold_start(n: DensityProfile, opts: SolverOptions, eps: float) -> GibbsState:
-    """The pure-state start if its J_eps is finite and its stopping measure
-    within tol_l2; otherwise whichever of it and the semiclassical guess
-    has the larger finite J_eps, and the guess when neither J_eps is finite."""
+def _cold_start(n: DensityProfile, eps: float) -> GibbsState:
+    """The pure-state start if it is finite and its J_eps is finite;
+    otherwise the semiclassical guess."""
     a = _pure_state_coefficients(n.basis, n)
-    pure = None if a is None else _evaluate(n, a, eps)
-    if pure is None or not np.isfinite(pure.objective):
-        return _evaluate(n, _semiclassical_coefficients(n.basis, n), eps)
-    if _stopping_measure(pure, eps) <= opts.tol_l2:
-        return pure
-    guess = _evaluate(n, _semiclassical_coefficients(n.basis, n), eps)
-    return guess if np.isfinite(guess.objective) and guess.objective > pure.objective else pure
+    if a is not None:
+        pure = _evaluate(n, a, eps)
+        if np.isfinite(pure.objective):
+            return pure
+    return _evaluate(n, _semiclassical_coefficients(n.basis, n), eps)
 
 
 def _suggest_modes(residual, M: int, tol: float) -> int | None:
@@ -194,34 +190,43 @@ def _stopping_measure(state: GibbsState, eps: float) -> float:
     return state.residual_l2
 
 
+def _rounding_scale(n: DensityProfile, eps: float) -> float:
+    """The stopping measure's rounding scale: u ||n||_2 (u the machine
+    epsilon, ||n||_2 the Euclidean norm of the N samples, sqrt(N) times the
+    L2 norm), over eps for eps > 0.  It bounds the measure's floor on
+    unit-size potentials, measured at 2-7 u ||n||_L2 at D = 41 and up to 9
+    at D = 129."""
+    return np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
+
+
 def _newton_direction(state: GibbsState, shift: float, rhs):
-    """(d, S): the solution d of S d = rhs for the Newton matrix
-    S = -Hess J + shift I at ``state``.  LinAlgError when S is not finite or
-    not positive definite: the Cholesky factorization is the test (it lets
-    a NaN entry through), one LU solve gives d."""
+    """The solution d of S d = rhs for the Newton matrix S = -Hess J + shift I
+    at ``state``.  LinAlgError when S is not finite or not positive
+    definite: the Cholesky factorization is the test (it lets a NaN entry
+    through), one LU solve gives d."""
     S = -_hessian_from_spectrum(state)
     S.flat[::S.shape[0] + 1] += shift
     if not np.all(np.isfinite(S)):
         raise np.linalg.LinAlgError("Newton matrix is not finite")
     np.linalg.cholesky(S)
-    return np.linalg.solve(S, rhs), S
+    return np.linalg.solve(S, rhs)
 
 
 def _ascent_direction(state: GibbsState, eps: float = 0.0):
-    """(d, slope, S): Newton direction on J_eps, its slope g.d and its
-    Newton matrix S; -Hess J_eps = -Hess J + eps I.  The fallback is the
-    gradient, with S None."""
+    """(d, slope): Newton direction on J_eps and its slope g.d;
+    -Hess J_eps = -Hess J + eps I.  The fallback is the gradient itself,
+    ``state.grad_coeffs``."""
     g = state.grad_coeffs
     try:
-        d, S = _newton_direction(state, NEWTON_SHIFT + eps, g)
+        d = _newton_direction(state, NEWTON_SHIFT + eps, g)
     except np.linalg.LinAlgError:
         log.info("Newton matrix not positive definite; falling back to gradient ascent")
-        d, S = g, None
+        d = g
     slope = float(g @ d)
     if not slope > 0.0:  # a NaN slope (an overflowed solve) fails too
         with np.errstate(over="ignore"):  # a gradient too large to square gives slope inf
-            d, slope, S = g, float(g @ g), None
-    return d, slope, S
+            d, slope = g, float(g @ g)
+    return d, slope
 
 
 def _rises_by(trial: GibbsState, state: GibbsState, gain: float) -> bool:
@@ -233,25 +238,27 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
                  eta: float = 0.0, initial=None):
     """Damped Newton ascent on J_eps (J at eps = 0) from ``initial`` or,
     cold, from :func:`_cold_start`; returns (state, history) once the
-    stopping measure is within tol_l2, after :func:`_refine_once`, which
+    stopping measure is within tolerance, after :func:`_refine_once`, which
     computes no step from a state at the measure's rounding floor: there
     its keep rule could not hold, so the skip changes no outcome, only
-    the cost.  Raises BasisTooSmall at a rounding floor the basis causes
-    (eps = 0 only) and MaxIterExceeded when the budget runs out.  ``eta``
-    only selects the entropy of a failure's report."""
+    the cost.  At eps > 0 the tolerance is raised to the measure's rounding
+    scale when that is larger than tol_l2.  Raises BasisTooSmall at a
+    rounding floor the basis causes (eps = 0 only) and MaxIterExceeded
+    when the budget runs out.  ``eta`` only selects the entropy of a
+    failure's report."""
     basis = n.basis
-    state = _cold_start(n, opts, eps) if initial is None else _evaluate(n, initial, eps)
+    tol = max(opts.tol_l2, _rounding_scale(n, eps)) if eps > 0.0 else opts.tol_l2
+    state = _cold_start(n, eps) if initial is None else _evaluate(n, initial, eps)
     history = []
-    newton = None  # the Newton matrix of the last step, None unless it was dense
     for iteration in range(opts.max_iter):
-        if _stopping_measure(state, eps) <= opts.tol_l2:
-            state, extra = _refine_once(n, state, eps, newton)
+        if _stopping_measure(state, eps) <= tol:
+            state, extra = _refine_once(n, state, eps)
             history.extend(extra)
             return state, history
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
-        d, slope, newton = _ascent_direction(state, eps)
+        d, slope = _ascent_direction(state, eps)
         alpha = 1.0
         trial = _evaluate(n, state.potential.coefficients + d, eps)
         # once the gain Armijo asks for is rounding noise in J it certifies
@@ -289,41 +296,31 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
         log.debug("iter %d: residual %.3e, step %.3e, J %.12g",
                   iteration + 1, state.residual_l2, alpha, state.objective)
     error = _stopping_measure(state, eps)
-    if error <= opts.tol_l2:
+    if error <= tol:
         return state, history
     measure = f"penalized (epsilon={eps:g}) in-basis defect" if eps > 0.0 else "residual"
     where = "" if eps > 0.0 else (
         f"; {_residual_split(state)[1]:.3e} of it lies beyond wavenumber {basis.M}")
     raise MaxIterExceeded(
-        f"{measure} {error:.3e} above tolerance {opts.tol_l2:.1e} "
+        f"{measure} {error:.3e} above tolerance {tol:.1e} "
         f"after {opts.max_iter} iterations{where}",
         report=_solution(state, history, n, eps, eta)[1], potential=state.potential)
 
 
-def _refine_once(n, state, eps, newton):
-    """One extra full step once inside tolerance, kept only if it shrinks
-    the stopping measure by more than the measure's rounding scale; it
-    usually lands orders of magnitude below tol and sharpens the recovered
-    A.  A chord step: it solves with ``newton``, the Newton matrix of the
-    last step, and builds a fresh one only when there is none.
-
-    The scale is u ||n||_2 (u the machine epsilon, ||n||_2 the Euclidean
-    norm of the N samples, sqrt(N) times the L2 norm), over eps for eps > 0.
-    It bounds the measure's rounding floor on unit-size potentials,
-    measured at 2-7 u ||n||_L2 at D = 41 and up to 9 at D = 129, so there
-    a step from the floor is never kept, and refining a state that is at
-    the floor adds nothing.  A state whose measure is already within the
-    scale is returned with no step computed: a measure is >= 0, so no
-    trial could shrink it by more than the scale, and the outcome is the
-    one the step would have had."""
-    scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
+def _refine_once(n, state, eps):
+    """One extra full step along :func:`_ascent_direction` once inside
+    tolerance, kept only if it shrinks the stopping measure by more than
+    :func:`_rounding_scale`; it usually lands orders of magnitude below
+    tol and sharpens the recovered A.  On unit-size potentials a step from
+    the rounding floor is thus never kept.  A state whose measure is
+    already within the scale is returned with no step computed: a measure
+    is >= 0, so no trial could shrink it by more than the scale, and the
+    outcome is the one the step would have had."""
+    scale = _rounding_scale(n, eps)
     measure = _stopping_measure(state, eps)
     if measure <= scale:
         return state, []
-    if newton is None:
-        d, _, _ = _ascent_direction(state, eps)
-    else:
-        d = np.linalg.solve(newton, state.grad_coeffs)
+    d, _ = _ascent_direction(state, eps)
     trial = _evaluate(n, state.potential.coefficients + d, eps)
     if _stopping_measure(trial, eps) < measure - scale:
         entry = HistoryEntry(residual=trial.residual_l2, step_size=1.0,
@@ -370,10 +367,11 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
 
     rho_eps = exp(-(H+A_eps)), where A_eps maximizes the strictly concave
     dual J_eps(A) = J(A) - (eps/2)||A||_L2^2 by the same Newton ascent as
-    the constrained solve, cold-started from the better of the pure-state
-    potential and the semiclassical guess, or warm-started from the
-    coefficients ``initial``.  It stops when the in-basis defect
-    ||a - P(n[rho] - n)/eps|| is at most tol_l2, and raises
+    the constrained solve, cold-started from the pure-state potential (the
+    semiclassical guess when that potential's J_eps is not finite), or
+    warm-started from the coefficients ``initial``.  It stops when the
+    in-basis defect ||a - P(n[rho] - n)/eps|| is at most tol_l2 or its
+    rounding scale u ||n||_2 / eps, whichever is larger, and raises
     MaxIterExceeded otherwise.  Gibbs-form iterates are strictly positive
     definite, so eta never enters the iteration; it only selects the
     regularized entropy in the reported objective.
@@ -432,14 +430,16 @@ def euler_lagrange_residual(rho: DensityOperator, A: ChemicalPotential) -> float
     Vanishes (to rounding) whenever rho = exp(-(H+A)) for the same A.
     Reads ``rho.eigenpairs``: a spectrum negative beyond the PSD tolerance
     raises NotPositiveSemidefinite, and eigenvalues that underflow to zero
-    enter through their continuous limit s log(s) -> 0.
+    enter through their continuous limit s log(s) -> 0.  A norm that
+    overflows reads inf.
     """
     lam, V = rho.eigenpairs
     K = assemble_hamiltonian_plus_potential(rho.basis, A)
     Kt = V.T @ K @ V
     t = np.sqrt(lam)
     X = (t[:, None] * t[None, :]) * Kt + np.diag(_xlogx(lam))
-    return float(np.linalg.norm(X))
+    with np.errstate(over="ignore"):  # an overflowed norm reads inf
+        return float(np.linalg.norm(X))
 
 
 def reconstruct_potential_form(rho: DensityOperator, n: DensityProfile, psi):

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmaxwell as qm
-from qmaxwell import io_cli
+from qmaxwell import io_cli, maxwellian_solver
 from qmaxwell.errors import (
     BasisTooSmall,
     DensityFileError,
@@ -303,6 +303,30 @@ def test_cli_solve_exit_2_on_budget(tmp_path):
     assert_allclose(written.values, achieved, rtol=0, atol=0)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_cli_solve_writes_null_for_an_overflowed_residual(tmp_path):
+    # n scaled by 1e250 overflows the residual; json.dumps alone would write
+    # Infinity, which strict parsers reject
+    density = tmp_path / "n.csv"
+    scaled = tmp_path / "scaled.csv"
+    report = tmp_path / "r.json"
+    assert run_cli("forward", "--potential", "cos(2*pi*x)", "--modes", "8",
+                   "--out", str(density)) == 0
+    write_density(scaled, 1e250 * io_cli.parse_density_csv(density, qm.build_basis(8)).values)
+    assert run_cli("solve", "--density", str(scaled), "--modes", "8",
+                   "--out", str(report)) == 2
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
+    result = payload["result"]
+    assert result["residual_l2"] is None
+    assert result["residual_hminus1"] is None
+    assert result["el_residual"] is None
+    assert None in [h["residual"] for h in payload["history"]]
+    assert all(np.isfinite(c) for c in payload["potential"]["fourier_coefficients"])
+
+
 def test_cli_solve_basis_too_small_writes_report(tmp_path):
     density = tmp_path / "n.csv"
     write_density(density, 1.0 + 0.5 * np.cos(6 * np.pi * np.arange(64) / 64))
@@ -351,7 +375,7 @@ def test_cli_verify_deterministic(tmp_path):
     assert diag["diagnostic"] is True
 
 
-def test_cli_sweep_epsilon(tmp_path):
+def test_cli_sweep_epsilon(tmp_path, monkeypatch):
     # the second density, on the default schedule, failed when the penalized
     # solve stopped on the grid defect, whose out-of-basis part no potential
     # in the basis can reduce
@@ -379,9 +403,25 @@ def test_cli_sweep_epsilon(tmp_path):
     assert run_cli("sweep-epsilon", "--density", str(density), "--modes", "1",
                    "--out", str(out)) == 3
     assert out.read_text().splitlines() == [lines[0]]
-    # eps = 1e-14 amplifies rounding in the in-basis defect beyond tol_l2, so
-    # its solve spends the budget: exit 2, with the row of eps = 1e-2
+    # eps = 1e-14 amplifies rounding in the in-basis defect by 1e14, above
+    # tol_l2: its solve stops at that rounding floor instead of spending
+    # the budget, exit 0 with both rows
     density = tmp_path / "rt0.csv"
+    out = tmp_path / "floor.csv"
+    assert run_cli("sweep-epsilon", "--density", str(density), "--modes", "4",
+                   "--schedule", "1e-2,1e-14", "--out", str(out)) == 0
+    assert [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]] == [
+        1e-2, 1e-14]
+    # a penalized solve that spends its budget: exit 2, with the row of
+    # eps = 1e-2 finished before it
+    solve_penalized = maxwellian_solver.solve_penalized
+
+    def budget_spent_below_1e_2(n, eps, *args, **kwargs):
+        if eps < 1e-2:
+            raise MaxIterExceeded("budget spent")
+        return solve_penalized(n, eps, *args, **kwargs)
+
+    monkeypatch.setattr(maxwellian_solver, "solve_penalized", budget_spent_below_1e_2)
     out = tmp_path / "budget.csv"
     assert run_cli("sweep-epsilon", "--density", str(density), "--modes", "4",
                    "--schedule", "1e-2,1e-14", "--out", str(out)) == 2

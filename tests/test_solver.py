@@ -96,7 +96,7 @@ def test_newton_direction_matches_dense_solve():
     g = state.grad_coeffs
     S = -qm.dual_hessian_matrix(state.potential) + 1e-12 * np.eye(b20.D)
     expected = np.linalg.solve(S, g)
-    d, slope, _ = maxwellian_solver._ascent_direction(state)
+    d, slope = maxwellian_solver._ascent_direction(state)
     assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected)
     assert slope == pytest.approx(float(g @ expected), rel=1e-10)
     assert slope > 0.0
@@ -117,7 +117,7 @@ def test_newton_falls_back_to_gradient_when_not_positive_definite(b4, monkeypatc
     for hessian in (np.eye, _with_nan_entry):
         monkeypatch.setattr(maxwellian_solver, "_hessian_from_spectrum",
                             lambda state: hessian(state.potential.basis.D))
-        d, slope, _ = maxwellian_solver._ascent_direction(state)
+        d, slope = maxwellian_solver._ascent_direction(state)
         assert np.array_equal(d, g)
         assert slope == float(g @ g)
 
@@ -134,9 +134,8 @@ def test_overflowed_newton_solve_falls_back_to_gradient(b4):
     a = maxwellian_solver._semiclassical_coefficients(b4, n)
     state = GibbsState(qm.ChemicalPotential(b4, a), n)
     with np.errstate(over="ignore", invalid="ignore"):
-        d, _, S = maxwellian_solver._ascent_direction(state)
+        d, _ = maxwellian_solver._ascent_direction(state)
     assert d is state.grad_coeffs
-    assert S is None
 
 
 def test_overflowed_weights_fall_back_to_gradient():
@@ -149,8 +148,7 @@ def test_overflowed_weights_fall_back_to_gradient():
     state = GibbsState(qm.ChemicalPotential(b8, coeffs), qm.DensityProfile(b8, np.ones(b8.N)))
     assert np.isinf(state.weights[0])
     assert not np.all(np.isfinite(qm.dual_hessian_matrix(state.potential)))
-    d, _, S = maxwellian_solver._ascent_direction(state)
-    assert S is None
+    d, _ = maxwellian_solver._ascent_direction(state)
     assert d is state.grad_coeffs
 
 
@@ -167,10 +165,12 @@ def _spy(monkeypatch, name, record):
 
 
 def _spy_directions(monkeypatch):
-    """The kind of each search direction in order: dense or gradient."""
+    """The kind of each search direction in order: dense or gradient (the
+    fallback direction is the state's gradient array itself)."""
     kinds = []
     _spy(monkeypatch, "_ascent_direction",
-         lambda args, out: kinds.append("gradient" if out[2] is None else "dense"))
+         lambda args, out: kinds.append("gradient" if out[0] is args[0].grad_coeffs
+                                        else "dense"))
     return kinds
 
 
@@ -206,19 +206,16 @@ def test_refinement_of_a_refined_state_adds_nothing(b8, monkeypatch):
             calls = []
             for name in ("_evaluate", "_ascent_direction"):
                 _spy(patch, name, lambda args, out, name=name: calls.append(name))
-            refined, extra = maxwellian_solver._refine_once(n, state, 0.0, None)
+            refined, extra = maxwellian_solver._refine_once(n, state, 0.0)
         assert calls == []
         assert extra == []
         assert refined is state
 
 
-def _refine_always(n, state, eps, newton):
+def _refine_always(n, state, eps):
     """_refine_once without its skip at the rounding floor: the step is
     always computed, then judged by the same keep rule."""
-    if newton is None:
-        d, _, _ = maxwellian_solver._ascent_direction(state, eps)
-    else:
-        d = np.linalg.solve(newton, state.grad_coeffs)
+    d, _ = maxwellian_solver._ascent_direction(state, eps)
     trial = maxwellian_solver._evaluate(n, state.potential.coefficients + d, eps)
     scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
     measure = maxwellian_solver._stopping_measure
@@ -234,28 +231,21 @@ def _refine_always(n, state, eps, newton):
 def test_skipped_refinement_keeps_the_outcome(M, eps):
     # the skip at the rounding floor returns what computing the step would:
     # on converged states (below the scale) and on states nudged off them by
-    # 1e-12 and 1e-10 (about 1e2 and 1e4 times above it), by a fresh Newton
-    # step and by a chord step with the matrix of a Newton step from a state
-    # 1e-3 away
+    # 1e-12 and 1e-10 (about 1e2 and 1e4 times above it)
     basis = qm.build_basis(M)
     _, n = forward(basis, lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
     solved, _ = maxwellian_solver._dual_ascent(n, qm.SolverOptions(), eps)
     a = solved.potential.coefficients
     v = np.random.default_rng(M).standard_normal(basis.D)
-    _, _, chord = maxwellian_solver._ascent_direction(
-        maxwellian_solver._evaluate(n, a + 1e-3 * v, eps), eps)
-    assert chord is not None
     scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
     below = []
     for delta in (0.0, 1e-12, 1e-10):
         state = maxwellian_solver._evaluate(n, a + delta * v, eps)
         below.append(maxwellian_solver._stopping_measure(state, eps) <= scale)
-        for newton in (None, chord):
-            expected, expected_extra = _refine_always(n, state, eps, newton)
-            refined, extra = maxwellian_solver._refine_once(n, state, eps, newton)
-            assert np.array_equal(refined.potential.coefficients,
-                                  expected.potential.coefficients)
-            assert extra == expected_extra
+        expected, expected_extra = _refine_always(n, state, eps)
+        refined, extra = maxwellian_solver._refine_once(n, state, eps)
+        assert np.array_equal(refined.potential.coefficients, expected.potential.coefficients)
+        assert extra == expected_extra
     assert below == [True, False, False]
 
 
@@ -267,7 +257,7 @@ def test_refinement_above_the_rounding_scale_is_kept():
     b8 = qm.build_basis(8)
     A_star, n = forward(b8, lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x)
                         + 0.5 * np.cos(8 * np.pi * x))
-    start = maxwellian_solver._cold_start(n, qm.SolverOptions(), 0.0)
+    start = maxwellian_solver._cold_start(n, 0.0)
     assert np.finfo(float).eps * np.linalg.norm(n.values) < start.residual_l2 <= 1e-9
     A, _, report = qm.solve_maxwellian(n)
     assert len(report.history) == 1
@@ -289,7 +279,7 @@ def test_pure_state_start_is_near_the_solution():
     # a smooth Gibbs state at M = 20 is a pure state to within exp(-4 pi^2)
     b20 = qm.build_basis(20)
     A_star, n = forward(b20, lambda x: 0.7 * np.cos(2 * np.pi * x) - 0.4 * np.sin(4 * np.pi * x))
-    start = maxwellian_solver._cold_start(n, qm.SolverOptions(), 0.0)
+    start = maxwellian_solver._cold_start(n, 0.0)
     assert np.max(np.abs(start.potential.coefficients - A_star.coefficients)) <= 1e-10
 
 
@@ -323,6 +313,36 @@ def test_overflowing_pure_state_start_is_rejected_by_the_objective():
     assert report.residual_l2 <= 1e-9
     with pytest.raises(MaxIterExceeded):
         qm.solve_maxwellian(_narrow_density(qm.build_basis(8)))
+
+
+def test_cold_start_is_the_pure_state_potential_when_its_objective_is_finite(monkeypatch):
+    # one Gibbs evaluation and no semiclassical guess, also where that start
+    # is outside tol_l2 (100 cos 6 pi x at M = 16); on the narrow density
+    # the pure-state potential's J is not finite and the guess is the start
+    _, smooth = forward(qm.build_basis(20), lambda x: 0.7 * np.cos(2 * np.pi * x))
+    _, large = forward(qm.build_basis(16), lambda x: 100 * np.cos(6 * np.pi * x))
+    narrow = _narrow_density(qm.build_basis(32))
+    for n, expected in ((smooth, ["_evaluate"]), (large, ["_evaluate"]),
+                        (narrow, ["_evaluate", "_semiclassical_coefficients", "_evaluate"])):
+        with monkeypatch.context() as patch:
+            calls = []
+            for name in ("_evaluate", "_semiclassical_coefficients"):
+                _spy(patch, name, lambda args, out, name=name: calls.append(name))
+            start = maxwellian_solver._cold_start(n, 0.0)
+        assert calls == expected
+        assert np.isfinite(start.objective)
+    assert maxwellian_solver._cold_start(large, 0.0).residual_l2 > 1e-9
+
+
+def test_overflowing_scaled_density_reports_inf_without_warnings(b8):
+    # n scaled by 1e250: the residual overflows, and so did the Frobenius
+    # norm in euler_lagrange_residual, which leaked "overflow encountered in
+    # dot"; RuntimeWarnings are errors under pytest
+    _, n = forward(b8, lambda x: np.cos(2 * np.pi * x))
+    with pytest.raises(MaxIterExceeded) as info:
+        qm.solve_maxwellian(qm.DensityProfile(b8, 1e250 * n.values))
+    assert info.value.report.residual_l2 == np.inf
+    assert info.value.report.el_residual == np.inf
 
 
 def test_extreme_range_density_fails_without_warnings(b4):
@@ -576,6 +596,21 @@ def test_penalized_stops_on_in_basis_defect(b4):
     projected = b4.project(qm.density_of(rho_eps) - n.values)
     assert np.linalg.norm(A_eps.coefficients - projected / eps) <= opts.tol_l2
     assert 0.0 <= report.duality_gap <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-8])
+def test_penalized_solve_stops_at_its_rounding_floor(roundtrip8, eps):
+    # at these eps the in-basis defect's rounding floor exceeds tol_l2 =
+    # 1e-9, which the solve could not reach: warm-started, it spent all 100
+    # steps and raised MaxIterExceeded
+    _, n, _, _, _ = roundtrip8
+    _, warm, _ = qm.solve_penalized(n, 1e-6)
+    _, A_eps, report = qm.solve_penalized(n, eps, initial=warm.coefficients)
+    scale = np.finfo(float).eps * np.linalg.norm(n.values) / eps
+    assert scale > 1e-9
+    defect = GibbsState(A_eps, n, eps).grad_coeffs
+    assert np.linalg.norm(defect) / eps <= scale
+    assert report.iterations <= 5
 
 
 def test_penalized_max_iter_report_is_penalized(b4):
