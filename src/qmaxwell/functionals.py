@@ -103,8 +103,8 @@ def free_energy(rho: DensityOperator) -> FunctionalValue:
 def penalized_free_energy(rho: DensityOperator, n: DensityProfile,
                           epsilon: float, eta: float = 0.0) -> FunctionalValue:
     """F with beta_eta entropy plus the penalty (1/2 eps) ||n[rho] - n||_L2^2."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     _check_same_basis(rho.basis, n.basis)
     diff = density_of(rho) - n.values
     penalty = 0.5 / epsilon * rho.basis.quadrature(diff * diff)
@@ -245,8 +245,8 @@ def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float
     eta must be positive: the unregularized entropy is not differentiable
     at the spectral boundary, so eta <= 0 is a hard error.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0; beta_0 is not differentiable at 0")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be finite and > 0, got {eta!r}")
     omega = np.asarray(omega, dtype=float)
     if omega.shape != rho.matrix.shape:
         raise ValueError(f"omega shape {omega.shape} differs from rho's {rho.matrix.shape}")

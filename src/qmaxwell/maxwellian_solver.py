@@ -15,14 +15,15 @@ equation gives that A in closed form.  The semiclassical guess
 J is not finite.  Each Newton step solves with the dense matrix
 -Hess J + 1e-12 I once its Cholesky factorization shows it positive
 definite; the step falls back to the gradient when that factorization
-fails or the slope is not positive.  The closing refinement is one more
-such step.  It is not computed when the stopping measure is already
-within its rounding scale, where no step could be kept, so a smooth
-solve that starts at that floor builds no dense matrix.  Once the gain
-the Armijo test asks for is below the rounding slack of J, the full step
-is accepted iff it shrinks the coefficient gradient P(n[rho] - n), P the
-projection onto the basis: the part of the residual the dual controls.
-A full step that cannot shrink it marks the dual's rounding floor.  There BasisTooSmall is raised when the
+fails or the slope is not positive.  From the first iterate within tol
+the loop's last step is the refinement, kept iff it shrinks the stopping
+measure by more than its rounding scale and not computed within that
+scale, so a smooth solve that starts at that floor builds no dense
+matrix.  Once the gain the Armijo test asks for is below the rounding
+slack of J, the full step is accepted iff it shrinks the coefficient
+gradient P(n[rho] - n), P the projection onto the basis: the part of the
+residual the dual controls.  A full step that cannot shrink it marks the
+dual's rounding floor.  There BasisTooSmall is raised when the
 residual's in-basis part is within tol_l2 and its out-of-basis part is
 not; any other floor goes on to the backtracking search and, if the
 budget runs out, MaxIterExceeded.  The penalized continuation path
@@ -41,6 +42,7 @@ rounding scale u ||n||_2 / eps, whichever is larger.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,13 +96,19 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.tol_l2 < np.inf:
             raise ValueError(f"tol_l2 must be finite and > 0, got {self.tol_l2!r}")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        try:
+            max_iter = operator.index(self.max_iter)
+        except TypeError:
+            max_iter = -1
+        if max_iter < 0:
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
         sched = tuple(float(e) for e in self.epsilon_schedule)
         if not sched:
-            raise ValueError("epsilon schedule must not be empty")
-        if any(e <= 0.0 for e in sched) or any(a <= b for a, b in zip(sched, sched[1:])):
-            raise ValueError("epsilon schedule must be strictly descending and positive")
+            raise ValueError("epsilon_schedule must not be empty")
+        # each eps finite and above the next one, the last above 0
+        if not all(np.inf > a > b >= 0.0 for a, b in zip(sched, sched[1:] + (0.0,))):
+            raise ValueError("epsilon_schedule must be strictly descending, finite "
+                             f"and positive, got {sched!r}")
         object.__setattr__(self, "epsilon_schedule", sched)
 
 
@@ -196,7 +204,8 @@ def _rounding_scale(n: DensityProfile, eps: float) -> float:
     L2 norm), over eps for eps > 0.  It bounds the measure's floor on
     unit-size potentials, measured at 2-7 u ||n||_L2 at D = 41 and up to 9
     at D = 129."""
-    return np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
+    with np.errstate(over="ignore"):  # an overflowed norm reads inf
+        return np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
 
 
 def _newton_direction(state: GibbsState, shift: float, rhs):
@@ -234,33 +243,39 @@ def _rises_by(trial: GibbsState, state: GibbsState, gain: float) -> bool:
     return bool(np.isfinite(trial.objective) and trial.objective >= state.objective + gain)
 
 
-def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
-                 eta: float = 0.0, initial=None):
+def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initial=None):
     """Damped Newton ascent on J_eps (J at eps = 0) from ``initial`` or,
-    cold, from :func:`_cold_start`; returns (state, history) once the
-    stopping measure is within tolerance, after :func:`_refine_once`, which
-    computes no step from a state at the measure's rounding floor: there
-    its keep rule could not hold, so the skip changes no outcome, only
-    the cost.  At eps > 0 the tolerance is raised to the measure's rounding
-    scale when that is larger than tol_l2.  Raises BasisTooSmall at a
+    cold, from :func:`_cold_start`.  From the first iterate whose stopping
+    measure is within tolerance it returns (state, history) after the
+    refinement: the full step along :func:`_ascent_direction`, kept (one
+    history entry) iff it shrinks the measure by more than the rounding
+    scale, and not computed when the measure is within that scale, where
+    no trial could shrink it by more.  At eps > 0 the tolerance is raised
+    to the scale when that is larger than tol_l2.  Raises BasisTooSmall at a
     rounding floor the basis causes (eps = 0 only) and MaxIterExceeded
-    when the budget runs out.  ``eta`` only selects the entropy of a
-    failure's report."""
+    when the budget runs out."""
     basis = n.basis
-    tol = max(opts.tol_l2, _rounding_scale(n, eps)) if eps > 0.0 else opts.tol_l2
+    scale = _rounding_scale(n, eps)
+    tol = max(opts.tol_l2, scale) if eps > 0.0 else opts.tol_l2
     state = _cold_start(n, eps) if initial is None else _evaluate(n, initial, eps)
     history = []
     for iteration in range(opts.max_iter):
-        if _stopping_measure(state, eps) <= tol:
-            state, extra = _refine_once(n, state, eps)
-            history.extend(extra)
+        measure = _stopping_measure(state, eps)
+        converged = measure <= tol
+        if converged and measure <= scale:
+            return state, history
+        d, slope = _ascent_direction(state, eps)
+        alpha = 1.0
+        trial = _evaluate(n, state.potential.coefficients + d, eps)
+        if converged:
+            if _stopping_measure(trial, eps) < measure - scale:
+                state = trial
+                history.append(HistoryEntry(residual=state.residual_l2, step_size=1.0,
+                                            objective=state.objective))
             return state, history
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
         fp_slack = 1e-15 * (1.0 + abs(state.objective))
-        d, slope = _ascent_direction(state, eps)
-        alpha = 1.0
-        trial = _evaluate(n, state.potential.coefficients + d, eps)
         # once the gain Armijo asks for is rounding noise in J it certifies
         # nothing: the full step is judged by the gradient the dual controls,
         # and a full step that cannot shrink it marks the dual's rounding floor
@@ -298,43 +313,20 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0,
     error = _stopping_measure(state, eps)
     if error <= tol:
         return state, history
-    measure = f"penalized (epsilon={eps:g}) in-basis defect" if eps > 0.0 else "residual"
+    what = f"penalized (epsilon={eps:g}) in-basis defect" if eps > 0.0 else "residual"
     where = "" if eps > 0.0 else (
         f"; {_residual_split(state)[1]:.3e} of it lies beyond wavenumber {basis.M}")
     raise MaxIterExceeded(
-        f"{measure} {error:.3e} above tolerance {tol:.1e} "
+        f"{what} {error:.3e} above tolerance {tol:.1e} "
         f"after {opts.max_iter} iterations{where}",
-        report=_solution(state, history, n, eps, eta)[1], potential=state.potential)
+        report=_solution(state, history, n, eps)[1], potential=state.potential)
 
 
-def _refine_once(n, state, eps):
-    """One extra full step along :func:`_ascent_direction` once inside
-    tolerance, kept only if it shrinks the stopping measure by more than
-    :func:`_rounding_scale`; it usually lands orders of magnitude below
-    tol and sharpens the recovered A.  On unit-size potentials a step from
-    the rounding floor is thus never kept.  A state whose measure is
-    already within the scale is returned with no step computed: a measure
-    is >= 0, so no trial could shrink it by more than the scale, and the
-    outcome is the one the step would have had."""
-    scale = _rounding_scale(n, eps)
-    measure = _stopping_measure(state, eps)
-    if measure <= scale:
-        return state, []
-    d, _ = _ascent_direction(state, eps)
-    trial = _evaluate(n, state.potential.coefficients + d, eps)
-    if _stopping_measure(trial, eps) < measure - scale:
-        entry = HistoryEntry(residual=trial.residual_l2, step_size=1.0,
-                             objective=trial.objective)
-        return trial, [entry]
-    return state, []
-
-
-def _solution(state: GibbsState, history, n: DensityProfile, eps: float = 0.0,
-              eta: float = 0.0):
+def _solution(state: GibbsState, history, n: DensityProfile, eps: float = 0.0):
     """(rho, report) of the iterate ``state``, with the primal/dual pair
     (F, J), or (F_eps, J_eps) for eps > 0, which agree at the optimum."""
     rho = DensityOperator(n.basis, state.matrix)
-    f = penalized_free_energy(rho, n, eps, eta) if eps > 0.0 else free_energy(rho)
+    f = penalized_free_energy(rho, n, eps) if eps > 0.0 else free_energy(rho)
     report = SolveReport(
         iterations=len(history),
         residual_l2=state.residual_l2,
@@ -361,7 +353,7 @@ def solve_maxwellian(n: DensityProfile, opts: SolverOptions | None = None):
     return state.potential, rho, report
 
 
-def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
+def solve_penalized(n: DensityProfile, epsilon: float, *,
                     opts: SolverOptions | None = None, initial=None):
     """Minimize the penalized functional; returns (rho_eps, A_eps, report).
 
@@ -372,19 +364,16 @@ def solve_penalized(n: DensityProfile, epsilon: float, eta: float = 0.0,
     warm-started from the coefficients ``initial``.  It stops when the
     in-basis defect ||a - P(n[rho] - n)/eps|| is at most tol_l2 or its
     rounding scale u ||n||_2 / eps, whichever is larger, and raises
-    MaxIterExceeded otherwise.  Gibbs-form iterates are strictly positive
-    definite, so eta never enters the iteration; it only selects the
-    regularized entropy in the reported objective.
+    MaxIterExceeded otherwise.  epsilon must be finite and > 0.
 
     The reported free_energy/dual_value pair is the penalized objective
-    F_eps and its exact Fenchel dual J_eps, which agree at the optimum.
+    F_eps and its exact Fenchel dual J_eps, which agree at the optimum;
+    F_eps with the beta_eta entropy is penalized_free_energy(rho, n, eps, eta).
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
-    state, history = _dual_ascent(n, opts or SolverOptions(), epsilon, eta, initial)
-    rho, report = _solution(state, history, n, epsilon, eta)
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    state, history = _dual_ascent(n, opts or SolverOptions(), epsilon, initial)
+    rho, report = _solution(state, history, n, epsilon)
     return rho, state.potential, report
 
 
@@ -412,14 +401,14 @@ def _sweep_rows(n: DensityProfile, opts: SolverOptions):
     A_ref, _, _ = solve_maxwellian(n, opts)
     warm = None
     for eps in opts.epsilon_schedule:
-        rho_eps, A_eps, report = solve_penalized(n, eps, 0.0, opts, initial=warm)
+        _, A_eps, report = solve_penalized(n, eps, opts=opts, initial=warm)
         warm = A_eps.coefficients
         dist = sobolev_norm(
             ChemicalPotential(n.basis, A_eps.coefficients - A_ref.coefficients), -1)
         yield EpsilonSweepRow(
             epsilon=eps,
             residual_l2=report.residual_l2,
-            f_eps=penalized_free_energy(rho_eps, n, eps, 0.0).total,
+            f_eps=report.free_energy,
             a_dist_hminus1=dist,
         )
 

@@ -479,8 +479,8 @@ def _beta_eta(s, eta):
 
 def matrix_entropy_function(rho: DensityOperator, eta: float = 0.0) -> np.ndarray:
     """Spectral application of the (regularized) entropy integrand to rho."""
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
+    if not 0.0 <= eta < np.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     lam, V = rho.eigenpairs
     m = (V * _beta_eta(lam, eta)) @ V.T
     return 0.5 * (m + m.T)
@@ -489,8 +489,8 @@ def matrix_entropy_function(rho: DensityOperator, eta: float = 0.0) -> np.ndarra
 def entropy_trace(rho: DensityOperator, eta: float = 0.0) -> float:
     """Tr beta_eta(rho); equals the trace of :func:`matrix_entropy_function`.
     Reads the spectrum the constructor computed and checked for PSD."""
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
+    if not 0.0 <= eta < np.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     return float(_spectral_entropy(rho.eigenvalues, eta))
 
 

@@ -125,8 +125,8 @@ def test_criterion_6_penalized_chain_and_rate(basis8, roundtrip):
     residuals = []
     warm = None
     for eps in schedule:
-        rho_eps, A_eps, rep = qm.solve_penalized(n, eps, 0.0,
-                                                 qm.SolverOptions(tol_l2=TOL_L2),
+        rho_eps, A_eps, rep = qm.solve_penalized(n, eps,
+                                                 opts=qm.SolverOptions(tol_l2=TOL_L2),
                                                  initial=warm)
         warm = A_eps.coefficients
         f_plain = qm.free_energy(rho_eps).total

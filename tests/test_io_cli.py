@@ -471,6 +471,13 @@ def test_cli_input_errors(tmp_path, capsys):
                    "--out", str(tmp_path / "r.json")) == 3
     assert run_cli("sweep-epsilon", "--density", str(good), "--modes", "4",
                    "--schedule", ",,", "--out", str(tmp_path / "s.csv")) == 3
+    # a non-finite epsilon, before the file is opened: "1,nan" used to write
+    # the eps = 1 row and then fail the eigensolve, "inf,1" to leak a
+    # RuntimeWarning
+    for schedule in ("1,nan", "inf,1"):
+        assert run_cli("sweep-epsilon", "--density", str(good), "--modes", "4",
+                       "--schedule", schedule, "--out", str(tmp_path / "s.csv")) == 3
+        assert "epsilon_schedule must be" in capsys.readouterr().err
     # a tolerance that is not finite and positive, before any solve
     for command in ("solve", "verify"):
         for tol in ("nan", "inf", "-inf"):

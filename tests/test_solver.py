@@ -1,6 +1,7 @@
+import warnings
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import qmaxwell as qm
 from qmaxwell import maxwellian_solver
@@ -200,21 +201,22 @@ def test_refinement_of_a_refined_state_adds_nothing(b8, monkeypatch):
                        lambda x: 0.6 * np.cos(2 * np.pi * x),
                        lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x)):
         _, n = forward(b8, a_callable)
-        state, _ = maxwellian_solver._dual_ascent(n, qm.SolverOptions())
+        opts = qm.SolverOptions()
+        state, _ = maxwellian_solver._dual_ascent(n, opts)
         assert state.residual_l2 < np.finfo(float).eps * np.linalg.norm(n.values)
+        a = state.potential.coefficients
         with monkeypatch.context() as patch:
             calls = []
-            for name in ("_evaluate", "_ascent_direction"):
-                _spy(patch, name, lambda args, out, name=name: calls.append(name))
-            refined, extra = maxwellian_solver._refine_once(n, state, 0.0)
+            _spy(patch, "_ascent_direction", lambda args, out: calls.append(out))
+            refined, extra = maxwellian_solver._dual_ascent(n, opts, initial=a)
         assert calls == []
         assert extra == []
-        assert refined is state
+        assert np.array_equal(refined.potential.coefficients, a)
 
 
 def _refine_always(n, state, eps):
-    """_refine_once without its skip at the rounding floor: the step is
-    always computed, then judged by the same keep rule."""
+    """The refinement of a converged state without its skip at the rounding
+    floor: the step is always computed, then judged by the same keep rule."""
     d, _ = maxwellian_solver._ascent_direction(state, eps)
     trial = maxwellian_solver._evaluate(n, state.potential.coefficients + d, eps)
     scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
@@ -231,7 +233,9 @@ def _refine_always(n, state, eps):
 def test_skipped_refinement_keeps_the_outcome(M, eps):
     # the skip at the rounding floor returns what computing the step would:
     # on converged states (below the scale) and on states nudged off them by
-    # 1e-12 and 1e-10 (about 1e2 and 1e4 times above it)
+    # 1e-12 and 1e-10 (about 1e2 and 1e4 times above it); tol_l2 = 1e-3
+    # holds every nudged state (the largest measure is 1.7e-4, at eps =
+    # 1e-6), so the one step the ascent takes from it is the refinement
     basis = qm.build_basis(M)
     _, n = forward(basis, lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
     solved, _ = maxwellian_solver._dual_ascent(n, qm.SolverOptions(), eps)
@@ -243,7 +247,8 @@ def test_skipped_refinement_keeps_the_outcome(M, eps):
         state = maxwellian_solver._evaluate(n, a + delta * v, eps)
         below.append(maxwellian_solver._stopping_measure(state, eps) <= scale)
         expected, expected_extra = _refine_always(n, state, eps)
-        refined, extra = maxwellian_solver._refine_once(n, state, eps)
+        refined, extra = maxwellian_solver._dual_ascent(
+            n, qm.SolverOptions(tol_l2=1e-3), eps, initial=a + delta * v)
         assert np.array_equal(refined.potential.coefficients, expected.potential.coefficients)
         assert extra == expected_extra
     assert below == [True, False, False]
@@ -526,6 +531,8 @@ def test_options_validation():
         qm.SolverOptions(epsilon_schedule=(1e-2, 1e-1))
     with pytest.raises(ValueError):
         qm.SolverOptions(max_iter=-5)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        qm.SolverOptions(max_iter=2.5)
     with pytest.raises(ValueError):
         qm.SolverOptions(epsilon_schedule=())
 
@@ -545,7 +552,7 @@ def test_penalized_self_consistency_contract(b4):
     opts = qm.SolverOptions(tol_l2=1e-9)
     warm = None
     for eps in (1.0, 1e-2, 1e-4):
-        rho_eps, A_eps, _ = qm.solve_penalized(n, eps, 0.0, opts, initial=warm)
+        rho_eps, A_eps, _ = qm.solve_penalized(n, eps, opts=opts, initial=warm)
         warm = A_eps.coefficients
         defect = A_eps.on_grid() - (qm.density_of(rho_eps) - n.values) / eps
         assert np.sqrt(b4.quadrature(defect**2)) <= opts.tol_l2
@@ -558,7 +565,7 @@ def test_penalized_chain_and_monotone_objective(b4):
     warm = None
     residuals, f_eps_values = [], []
     for eps in qm.SolverOptions().epsilon_schedule:
-        rho_eps, A_eps, report = qm.solve_penalized(n, eps, 0.0, initial=warm)
+        rho_eps, A_eps, report = qm.solve_penalized(n, eps, initial=warm)
         warm = A_eps.coefficients
         f_plain = qm.free_energy(rho_eps).total
         f_pen = qm.penalized_free_energy(rho_eps, n, eps).total
@@ -579,20 +586,12 @@ def test_penalized_duality_gap_vanishes(b4):
         assert abs(report.duality_gap) <= 1e-8
 
 
-def test_penalized_eta_affects_reported_objective_only(b4):
-    _, n = forward(b4, lambda x: 0.4 * np.cos(2 * np.pi * x))
-    rho0, A0, rep0 = qm.solve_penalized(n, 1e-2, 0.0)
-    rho1, A1, rep1 = qm.solve_penalized(n, 1e-2, 1e-3)
-    assert_allclose(A0.coefficients, A1.coefficients, atol=1e-12)
-    assert rep1.free_energy > rep0.free_energy  # beta_eta >= beta_0
-
-
 def test_penalized_stops_on_in_basis_defect(b4):
     # the grid defect of this density keeps the out-of-basis part
     # (1/eps)(I - P)(n[rho] - n); the solve stops on the in-basis part
     _, n = forward(b4, lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x))
     eps, opts = 1e-2, qm.SolverOptions()
-    rho_eps, A_eps, report = qm.solve_penalized(n, eps, 0.0, opts)
+    rho_eps, A_eps, report = qm.solve_penalized(n, eps, opts=opts)
     projected = b4.project(qm.density_of(rho_eps) - n.values)
     assert np.linalg.norm(A_eps.coefficients - projected / eps) <= opts.tol_l2
     assert 0.0 <= report.duality_gap <= 1e-8
@@ -615,13 +614,13 @@ def test_penalized_solve_stops_at_its_rounding_floor(roundtrip8, eps):
 
 def test_penalized_max_iter_report_is_penalized(b4):
     _, n = forward(b4, lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x))
-    eps, eta = 1e-2, 1e-3
+    eps = 1e-2
     with pytest.raises(MaxIterExceeded) as info:
-        qm.solve_penalized(n, eps, eta, qm.SolverOptions(max_iter=1))
+        qm.solve_penalized(n, eps, opts=qm.SolverOptions(max_iter=1))
     report, A = info.value.report, info.value.potential
     rho = qm.gibbs_from_potential(b4, A)
     a = A.coefficients
-    assert report.free_energy == qm.penalized_free_energy(rho, n, eps, eta).total
+    assert report.free_energy == qm.penalized_free_energy(rho, n, eps).total
     assert report.dual_value == qm.dual_functional(A, n) - 0.5 * eps * (a @ a)
     assert report.history[-1].objective == report.dual_value
 
@@ -630,6 +629,43 @@ def test_penalized_rejects_bad_epsilon(b4):
     _, n = forward(b4, lambda x: 0.1 * np.cos(2 * np.pi * x))
     with pytest.raises(ValueError):
         qm.solve_penalized(n, 0.0)
+
+
+def test_penalized_takes_no_positional_options(b4):
+    # the third positional argument was eta; options are keyword-only
+    _, n = forward(b4, lambda x: 0.1 * np.cos(2 * np.pi * x))
+    with pytest.raises(TypeError):
+        qm.solve_penalized(n, 1e-2, 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, call", [
+    pytest.param("epsilon", lambda n, rho, x: qm.solve_penalized(n, x),
+                 id="solve_penalized"),
+    pytest.param("epsilon", lambda n, rho, x: qm.penalized_free_energy(rho, n, x),
+                 id="penalized_free_energy-epsilon"),
+    pytest.param("eta", lambda n, rho, x: qm.penalized_free_energy(rho, n, 1.0, x),
+                 id="penalized_free_energy-eta"),
+    pytest.param("eta", lambda n, rho, x: qm.entropy_trace(rho, x), id="entropy_trace"),
+    pytest.param("eta", lambda n, rho, x: qm.matrix_entropy_function(rho, x),
+                 id="matrix_entropy_function"),
+    pytest.param("eta", lambda n, rho, x: qm.gateaux_entropy_derivative(
+        rho, np.eye(rho.basis.D), x), id="gateaux_entropy_derivative"),
+    pytest.param("epsilon_schedule", lambda n, rho, x: qm.SolverOptions(
+        epsilon_schedule=(1.0, x)), id="schedule-last"),
+    pytest.param("epsilon_schedule", lambda n, rho, x: qm.SolverOptions(
+        epsilon_schedule=(x, 1.0)), id="schedule-first"),
+    pytest.param("max_iter", lambda n, rho, x: qm.SolverOptions(max_iter=x), id="max_iter"),
+])
+def test_non_finite_parameters_are_rejected(b4, name, call, value):
+    # NaN compares False both ways, so a test such as epsilon <= 0 let it
+    # through: NaN reports, a failed eigensolve or a leaked RuntimeWarning
+    _, n = forward(b4, lambda x: 0.4 * np.cos(2 * np.pi * x))
+    rho = qm.gibbs_from_potential(b4, qm.ChemicalPotential.constant(b4, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            call(n, rho, value)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +680,7 @@ def test_sweep_constant_density(b4):
     # every penalized potential is constant; the distance is the scalar gap
     warm = None
     for row in rows:
-        _, A_eps, _ = qm.solve_penalized(n, row.epsilon, 0.0, initial=warm)
+        _, A_eps, _ = qm.solve_penalized(n, row.epsilon, initial=warm)
         warm = A_eps.coefficients
         grid_vals = A_eps.on_grid()
         assert np.max(grid_vals) - np.min(grid_vals) <= 1e-10
