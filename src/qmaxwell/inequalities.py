@@ -1,28 +1,24 @@
-"""The seeded randomized inequality suite behind ``verify``, and its draws.
+"""The seeded randomized suite behind ``verify``, and its draws.
 
-Each randomized inequality runs over blocks of BLOCK samples, as a
-two-stage pipeline.  The calling thread draws each block's Gaussians from
-the one seeded generator, in the order a per-sample loop would consume
-them (validator by validator, sample by sample), so a seed gives the same
-report whatever the block size.  A process-wide thread pool, one worker per
-CPU in the process's affinity mask, checks the blocks: it forms the density
-matrices, checks them for symmetry and PSD, and runs the stacked kernel
-that the matching public validator in :mod:`qmaxwell.functionals` also
-runs.  NumPy's ``eigvalsh``, ``qr`` and ``matmul`` release the interpreter
-lock, so the checks of different blocks overlap.  The results are read in
-submission order, so the report is the same bytes for any number of
-workers.
+Each randomized inequality runs over blocks of BLOCK samples.  The seed's
+``SeedSequence`` is spawned into one stream per (inequality, block) check,
+inequality-major, then block.  A process-wide thread pool, one worker per
+CPU in the process's affinity mask, runs the checks: each draws its block's
+Gaussians from its own stream, forms the density matrices, checks them for
+symmetry and PSD, and runs the stacked kernel that the matching public
+validator in :mod:`qmaxwell.functionals` also runs.  NumPy's ``eigvalsh``,
+``qr`` and ``matmul`` release the interpreter lock, so checks overlap.  The
+results are read in submission order, so a seed gives the same report bytes
+for any number of workers.
 
-Memory: the draws run at most two blocks per worker ahead of the oldest
-unfinished check, and the draws, operators, rotations and check
-temporaries of every block in flight are live together, so peak memory
-grows with the number of workers times BLOCK.
+Memory: a check's draws and temporaries live only while it runs, so peak
+memory grows with the number of workers times BLOCK.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
+import operator
 import os
 
 import numpy as np
@@ -33,12 +29,10 @@ from .spectral_core import DensityOperator, _checked_spectra, sobolev_norm
 
 __all__ = ["random_psd", "haar_rotation", "run_inequality_suite"]
 
-# Samples per stacked block.  Fixed: peak memory grows with the blocks in
-# flight times BLOCK.  The suite at 200 samples, D = 17, on 2 CPUs (40 calls
-# in one process) took 52-64 ms per call serially, at 38.8-39.1 MB peak RSS;
-# with one block in flight per worker 50-53 ms at 40.1-40.2 MB, and with two
-# 41-47 ms at 40.5-40.7 MB.  Most of the added memory is the malloc arena of
-# each worker thread, about 0.45 MB.
+# Samples per stacked block.  Fixed: peak memory grows with the workers times
+# BLOCK.  The suite at 200 samples, D = 17, on 2 CPUs took 88-92 ms per call
+# at BLOCK = 16, 52 ms at 32, 44-46 ms at 64 and 38-41 ms as one block, at
+# 40.2, 40.7, 41.5 and 46.0-46.6 MB peak RSS.
 BLOCK = 32
 
 
@@ -55,12 +49,12 @@ def _rotations(G):
 
 
 def random_psd(rng, basis) -> DensityOperator:
-    """The suite's random density operator: B B^T / D for one D x D Gaussian B."""
+    """One sample of the suite's density operators: B B^T / D, B a D x D Gaussian."""
     return DensityOperator(basis, _psd(rng.standard_normal((basis.D, basis.D))))
 
 
 def haar_rotation(rng, D):
-    """The suite's random rotation, from one D x D Gaussian draw."""
+    """One sample of the suite's rotations, from one D x D Gaussian draw."""
     return _rotations(rng.standard_normal((D, D)))
 
 
@@ -70,19 +64,22 @@ def _checked(B):
     return m, _checked_spectra(m)
 
 
-def _check_lieb(basis, B):
-    return fn._lieb(basis, *_checked(B))
+def _check_lieb(basis, rng, s):
+    return fn._lieb(basis, *_checked(rng.standard_normal((s, basis.D, basis.D))))
 
 
-def _check_peierls(G):
+def _check_peierls(basis, rng, s):
+    G = rng.standard_normal((s, 2, basis.D, basis.D))  # per sample: operator, rotation
     return fn._peierls(*_checked(G[:, 0]), _rotations(G[:, 1]))
 
 
-def _check_convexity(G, t):
-    return fn._convexity(*_checked(G[:, 0]), *_checked(G[:, 1]), t)
+def _check_convexity(basis, rng, s):
+    G = rng.standard_normal((s, 2, basis.D, basis.D))  # per sample: two operators
+    return fn._convexity(*_checked(G[:, 0]), *_checked(G[:, 1]), rng.uniform(0.1, 0.9, s))
 
 
-def _check_perturbation(G):
+def _check_perturbation(basis, rng, s):
+    G = rng.standard_normal((s, 2, basis.D, basis.D))
     return fn._perturbation(*_checked(G[:, 0]), *_checked(G[:, 1]))
 
 
@@ -100,50 +97,28 @@ def _executor():
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="qmaxwell-suite")
 
 
-def _pipeline(blocks):
-    """``[check(*args) for check, args in blocks]``, in order.  The calling
-    thread consumes ``blocks`` (the draws) at most two blocks per worker
-    ahead of the oldest unfinished check; the pool runs the checks.  The
-    first failing check in order raises, once every check in flight has
-    settled."""
-    pool = _executor()
-    window = 2 * pool._max_workers
-    pending, results = collections.deque(), []
-    try:
-        for check, args in blocks:
-            if len(pending) == window:
-                results.append(pending.popleft().result())
-            pending.append(pool.submit(check, *args))
-        while pending:
-            results.append(pending.popleft().result())
-    finally:
-        for future in pending:
-            if not future.cancel():  # running: wait for it to settle
-                future.exception()
-    return results
-
-
 def run_inequality_suite(basis, A, rho, n, opts, samples, seed):
-    """Seeded randomized suite; each entry records its worst-case instance."""
-    rng = np.random.default_rng(seed)
-    D = basis.D
+    """Seeded randomized suite; each entry records its worst-case instance.
+    ``samples`` is an integer >= 1 and ``seed`` an integer >= 0.  The first
+    failing check in order raises, once every check has settled."""
+    from concurrent.futures import wait
+
+    for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
+        try:
+            valid = operator.index(value) >= least
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     sizes = [min(BLOCK, samples - start) for start in range(0, samples, BLOCK)]
-
-    def draws():
-        for s in sizes:
-            yield _check_lieb, (basis, rng.standard_normal((s, D, D)))
-        for s in sizes:  # per sample: the operator's draw, then the rotation's
-            yield _check_peierls, (rng.standard_normal((s, 2, D, D)),)
-        for s in sizes:  # per sample: two operators, then the mixing weight t
-            pairs = [(rng.standard_normal((2, D, D)), rng.uniform(0.1, 0.9))
-                     for _ in range(s)]
-            yield _check_convexity, (np.array([g for g, _ in pairs]),
-                                     np.array([t for _, t in pairs]))
-        for s in sizes:
-            yield _check_perturbation, (rng.standard_normal((s, 2, D, D)),)
-
-    stacks = _pipeline(draws())
     k = len(sizes)
+    checks = (_check_lieb, _check_peierls, _check_convexity, _check_perturbation)
+    streams = iter(np.random.SeedSequence(seed).spawn(len(checks) * k))
+    pool = _executor()
+    futures = [pool.submit(check, basis, np.random.default_rng(next(streams)), s)
+               for check in checks for s in sizes]
+    wait(futures)
+    stacks = [future.result() for future in futures]
     out = [fn.InequalityStack.concatenate(stacks[i:i + k]).worst()
            for i in range(0, len(stacks), k)]
     el = euler_lagrange_residual(rho, A)

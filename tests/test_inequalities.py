@@ -1,9 +1,10 @@
-"""The batched inequality suite behind ``verify`` against the per-sample
-loop over the public validators that it replaced."""
+"""The batched inequality suite behind ``verify`` against a per-sample loop
+over the public validators that draws from the same per-block streams."""
 
 import dataclasses
 import itertools
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,19 +23,36 @@ def _worst(reports):
     return dataclasses.replace(worst, holds=all(r.holds for r in reports))
 
 
+def block_streams(samples, seed):
+    """The suite's (generator, block size) pairs, one list per inequality:
+    the seed's children, inequality-major, then block."""
+    B = inequalities.BLOCK
+    sizes = [min(B, samples - start) for start in range(0, samples, B)]
+    rngs = [np.random.default_rng(c)
+            for c in np.random.SeedSequence(seed).spawn(4 * len(sizes))]
+    return [list(zip(rngs[i * len(sizes):], sizes)) for i in range(4)]
+
+
+def segments(rng, basis, s):
+    """A convexity block's samples (rho1, rho2, t): the s pairs of operators
+    are drawn first, then the s weights."""
+    pairs = [(random_psd(rng, basis), random_psd(rng, basis)) for _ in range(s)]
+    return [(r1, r2, t) for (r1, r2), t in zip(pairs, rng.uniform(0.1, 0.9, s))]
+
+
 def oracle_suite(basis, samples, seed):
     """The randomized entries of the suite, one sample at a time."""
-    rng = np.random.default_rng(seed)
+    lieb, peierls, convexity, perturbation = block_streams(samples, seed)
     return [
-        _worst([qm.validate_lieb(random_psd(rng, basis)) for _ in range(samples)]),
+        _worst([qm.validate_lieb(random_psd(rng, basis))
+                for rng, s in lieb for _ in range(s)]),
         _worst([qm.validate_peierls(random_psd(rng, basis), haar_rotation(rng, basis.D))
-                for _ in range(samples)]),
-        _worst([qm.convexity_probe(random_psd(rng, basis), random_psd(rng, basis),
-                                   rng.uniform(0.1, 0.9))
-                for _ in range(samples)]),
+                for rng, s in peierls for _ in range(s)]),
+        _worst([qm.convexity_probe(r1, r2, t)
+                for rng, s in convexity for r1, r2, t in segments(rng, basis, s)]),
         _worst([qm.eigenvalue_perturbation_check(random_psd(rng, basis),
                                                  random_psd(rng, basis))
-                for _ in range(samples)]),
+                for rng, s in perturbation for _ in range(s)]),
     ]
 
 
@@ -60,6 +78,26 @@ def test_batched_suite_equals_per_sample_oracle(solved, samples):
         "euler_lagrange_residual", "potential_reconstruction", "log_sobolev"]
     for got, want in zip(suite[:4], oracle_suite(basis, samples, seed)):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("samples", 0), ("samples", -3), ("samples", 2.5), ("samples", "5"), ("samples", None),
+    ("seed", -1), ("seed", 1.5), ("seed", "1"), ("seed", None),
+])
+def test_suite_rejects_a_bad_sample_count_or_seed(name, value, monkeypatch):
+    # 0 used to raise from range(), 2.5 a bare TypeError and 1.5 from
+    # SeedSequence; nothing may be submitted before the arguments are checked
+    basis = qm.build_basis(2)
+    A = qm.ChemicalPotential.constant(basis, 0.0)
+    rho = qm.gibbs_from_potential(basis, A)
+    n = qm.DensityProfile(basis, qm.density_of(rho))
+    monkeypatch.setattr(inequalities, "_executor", None)
+    args = {"samples": 5, "seed": 1, name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
+            inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(),
+                                              args["samples"], args["seed"])
 
 
 class _RecordingPool(ThreadPoolExecutor):
@@ -110,14 +148,11 @@ def test_first_failing_block_in_order_raises_after_every_check_settles(solved, m
             inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
         assert all(future.done() for _, _, future in pool.submitted)
         # checks may start out of order: the first failed block in submission
-        # order raises, a middle block, and the draws stopped a window later
-        t0s = [args[1][0] for check, args, _ in pool.submitted
-               if check is inequalities._check_convexity]
+        # order raises, a middle block
+        t0s = [segments(rng, basis, s)[0][2] for rng, s in block_streams(200, 11)[2]]
         first_failed = next(t0 for t0 in t0s if t0 in failed)
         assert first_failed != t0s[-1]
         assert str(raised.value) == f"block with t[0] = {first_failed!r}"
-        assert not any(check is inequalities._check_perturbation
-                       for check, _, _ in pool.submitted)
 
         monkeypatch.setattr(fn, "_convexity", convexity)
         suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)

@@ -513,16 +513,22 @@ def test_runtime_loads_no_scipy(tmp_path):
     src = str(Path(qm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # nor does anything but verify load the executor or start the suite's pool
     script = (
-        "import sys\n"
+        "import sys, threading\n"
         "import qmaxwell\n"
         "from qmaxwell.io_cli import cli_dispatch\n"
+        "def pool():\n"
+        "    return ('concurrent.futures' in sys.modules, any(t.name.startswith("
+        "'qmaxwell-suite') for t in threading.enumerate()))\n"
         "assert cli_dispatch(['forward', '--potential', 'cos(2*pi*x)', '--modes', '4',"
         " '--out', 'n.csv']) == 0\n"
         "assert cli_dispatch(['solve', '--density', 'n.csv', '--modes', '4',"
         " '--out', 'r.json']) == 0\n"
+        "assert pool() == (False, False), pool()\n"
         "assert cli_dispatch(['verify', '--density', 'n.csv', '--modes', '4',"
         " '--samples', '5', '--out', 'v.json']) == 0\n"
+        "assert pool() == (True, True), pool()\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)

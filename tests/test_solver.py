@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -252,6 +253,38 @@ def test_skipped_refinement_keeps_the_outcome(M, eps):
         assert np.array_equal(refined.potential.coefficients, expected.potential.coefficients)
         assert extra == expected_extra
     assert below == [True, False, False]
+
+
+def test_refinement_within_one_scale_of_its_start_is_not_kept():
+    # states nudged 1e-17..1e-13 off the solution sit just above the rounding
+    # scale (1.05-1.23 scales), and some have a full step that shrinks the
+    # measure by less than one scale: a gain that size is rounding, so the
+    # ascent returns the state it was given and records nothing.  Which
+    # nudges do that depends on BLAS rounding, so the grid is searched
+    found, measure = 0, maxwellian_solver._stopping_measure
+    for M, eps in itertools.product((4, 8, 20), (0.0, 1e-3)):
+        basis = qm.build_basis(M)
+        _, n = forward(basis, lambda x: 0.5 * np.cos(2 * np.pi * x)
+                       + 0.3 * np.sin(6 * np.pi * x))
+        solved, _ = maxwellian_solver._dual_ascent(n, qm.SolverOptions(), eps)
+        a = solved.potential.coefficients
+        v = np.random.default_rng(M).standard_normal(basis.D)
+        scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
+        for delta in np.geomspace(1e-17, 1e-13, 81):
+            state = maxwellian_solver._evaluate(n, a + delta * v, eps)
+            start = measure(state, eps)
+            if not scale < start <= 1e-9:
+                continue
+            d, _ = maxwellian_solver._ascent_direction(state, eps)
+            trial = maxwellian_solver._evaluate(n, a + delta * v + d, eps)
+            if not start - scale <= measure(trial, eps) < start:
+                continue
+            found += 1
+            refined, extra = maxwellian_solver._dual_ascent(
+                n, qm.SolverOptions(), eps, initial=a + delta * v)
+            assert np.array_equal(refined.potential.coefficients, a + delta * v)
+            assert extra == []
+    assert found >= 1
 
 
 def test_refinement_above_the_rounding_scale_is_kept():
