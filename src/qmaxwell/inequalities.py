@@ -1,17 +1,17 @@
 """The seeded randomized suite behind ``verify``, and its draws.
 
-Each randomized inequality runs over blocks of BLOCK samples.  The seed's
-``SeedSequence`` is spawned into one stream per (inequality, block) check,
-inequality-major, then block.  A process-wide thread pool, one worker per
-CPU in the process's affinity mask, runs the checks: each draws its block's
-Gaussians from its own stream, forms the density matrices, checks them for
-symmetry and PSD, and runs the stacked kernel that the matching public
-validator in :mod:`qmaxwell.functionals` also runs.  NumPy's ``eigvalsh``,
-``qr`` and ``matmul`` release the interpreter lock, so checks overlap.  The
-results are read in submission order, so a seed gives the same report bytes
-for any number of workers.
+The suite runs over blocks of BLOCK samples.  The seed's ``SeedSequence``
+is spawned into one stream per block, and one draw from it feeds all four
+randomized inequalities: per sample two operators and a rotation, then the
+block's convexity weights.  A process-wide thread pool, one worker per CPU
+in the process's affinity mask, runs the blocks: each forms its density
+matrices, checks them for symmetry and PSD, and runs the stacked kernels
+that the matching public validators in :mod:`qmaxwell.functionals` also
+run.  NumPy's ``eigvalsh``, ``qr`` and ``matmul`` release the interpreter
+lock, so blocks overlap.  The results are read in submission order, so a
+seed gives the same report bytes for any number of workers.
 
-Memory: a check's draws and temporaries live only while it runs, so peak
+Memory: a block's draws and temporaries live only while it runs, so peak
 memory grows with the number of workers times BLOCK.
 """
 
@@ -30,9 +30,9 @@ from .spectral_core import DensityOperator, _checked_spectra, sobolev_norm
 __all__ = ["random_psd", "haar_rotation", "run_inequality_suite"]
 
 # Samples per stacked block.  Fixed: peak memory grows with the workers times
-# BLOCK.  The suite at 200 samples, D = 17, on 2 CPUs took 88-92 ms per call
-# at BLOCK = 16, 52 ms at 32, 44-46 ms at 64 and 38-41 ms as one block, at
-# 40.2, 40.7, 41.5 and 46.0-46.6 MB peak RSS.
+# BLOCK.  The suite at 200 samples, D = 17, on 2 CPUs took a median 51 ms per
+# call at BLOCK = 16, 27-28 ms at 32, 26 ms at 64 and 30-35 ms as one block,
+# at 39.4, 40.0, 40.9 and 42.7 MB peak RSS.
 BLOCK = 32
 
 
@@ -64,28 +64,20 @@ def _checked(B):
     return m, _checked_spectra(m)
 
 
-def _check_lieb(basis, rng, s):
-    return fn._lieb(basis, *_checked(rng.standard_normal((s, basis.D, basis.D))))
-
-
-def _check_peierls(basis, rng, s):
-    G = rng.standard_normal((s, 2, basis.D, basis.D))  # per sample: operator, rotation
-    return fn._peierls(*_checked(G[:, 0]), _rotations(G[:, 1]))
-
-
-def _check_convexity(basis, rng, s):
-    G = rng.standard_normal((s, 2, basis.D, basis.D))  # per sample: two operators
-    return fn._convexity(*_checked(G[:, 0]), *_checked(G[:, 1]), rng.uniform(0.1, 0.9, s))
-
-
-def _check_perturbation(basis, rng, s):
-    G = rng.standard_normal((s, 2, basis.D, basis.D))
-    return fn._perturbation(*_checked(G[:, 0]), *_checked(G[:, 1]))
+def _check_block(basis, rng, s):
+    """The four randomized inequalities on one block of s samples, all on one
+    draw: per sample the operators rho1 and rho2 and a rotation, then the
+    block's convexity weights."""
+    G = rng.standard_normal((s, 3, basis.D, basis.D))
+    t = rng.uniform(0.1, 0.9, s)
+    rho1, rho2 = _checked(G[:, 0]), _checked(G[:, 1])
+    return (fn._lieb(basis, *rho1), fn._peierls(*rho1, _rotations(G[:, 2])),
+            fn._convexity(*rho1, *rho2, t), fn._perturbation(*rho1, *rho2))
 
 
 @functools.cache
 def _executor():
-    """The suite's check pool, one thread per CPU in the affinity mask;
+    """The suite's block pool, one thread per CPU in the affinity mask;
     created on first use, so importing the package starts no thread and
     loads no executor module (about 0.4 MB of RSS on a ``solve``)."""
     from concurrent.futures import ThreadPoolExecutor
@@ -100,7 +92,7 @@ def _executor():
 def run_inequality_suite(basis, A, rho, n, opts, samples, seed):
     """Seeded randomized suite; each entry records its worst-case instance.
     ``samples`` is an integer >= 1 and ``seed`` an integer >= 0.  The first
-    failing check in order raises, once every check has settled."""
+    failing block in order raises, once every block has settled."""
     from concurrent.futures import wait
 
     for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
@@ -111,16 +103,13 @@ def run_inequality_suite(basis, A, rho, n, opts, samples, seed):
         if not valid:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     sizes = [min(BLOCK, samples - start) for start in range(0, samples, BLOCK)]
-    k = len(sizes)
-    checks = (_check_lieb, _check_peierls, _check_convexity, _check_perturbation)
-    streams = iter(np.random.SeedSequence(seed).spawn(len(checks) * k))
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
     pool = _executor()
-    futures = [pool.submit(check, basis, np.random.default_rng(next(streams)), s)
-               for check in checks for s in sizes]
+    futures = [pool.submit(_check_block, basis, np.random.default_rng(stream), s)
+               for stream, s in zip(streams, sizes)]
     wait(futures)
-    stacks = [future.result() for future in futures]
-    out = [fn.InequalityStack.concatenate(stacks[i:i + k]).worst()
-           for i in range(0, len(stacks), k)]
+    blocks = [future.result() for future in futures]
+    out = [fn.InequalityStack.concatenate(stacks).worst() for stacks in zip(*blocks)]
     el = euler_lagrange_residual(rho, A)
     el_bound = 10.0 * opts.tol_l2 * (1.0 + rho.trace)
     out.append(fn.InequalityReport(name="euler_lagrange_residual", lhs=el,

@@ -446,16 +446,15 @@ def reconstruct_potential_form(rho: DensityOperator, n: DensityProfile, psi):
     psi = np.asarray(psi, dtype=float)
     if psi.ndim not in (1, 2) or psi.shape[-1] != basis.N:
         raise ValueError(f"psi must be sampled on the {basis.N}-point grid")
-    g = (psi / n.values)[..., None, :]
     lam, V = rho.eigenpairs
     keep = lam > 1e-250
     lam = lam[keep]
     phi = V.T[keep] @ basis.functions          # eigenfunction values
-    dphi = V.T[keep] @ basis.derivatives
-    term1 = np.sum(_xlogx(lam) * np.mean(g * phi**2, axis=-1), axis=-1)
-    w_prime = spectral_derivative(g * phi)
-    term2 = np.sum(lam * np.mean(dphi * w_prime, axis=-1), axis=-1)
-    form = -term1 - term2
+    d2phi = V.T[keep] @ (-basis.h_eigenvalues[:, None] * basis.functions)
+    # phi' has degree <= M < N/2 and the grid derivative is antisymmetric, so
+    # mean(phi' ((psi/n) phi)') = -mean(phi'' (psi/n) phi): one grid weight
+    w = _xlogx(lam) @ phi**2 - lam @ (phi * d2phi)
+    form = -np.mean(psi / n.values * w, axis=-1)  # a stack rounds as its rows
     return float(form) if psi.ndim == 1 else form
 
 

@@ -3,6 +3,7 @@ over the public validators that draws from the same per-block streams."""
 
 import dataclasses
 import itertools
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -24,35 +25,30 @@ def _worst(reports):
 
 
 def block_streams(samples, seed):
-    """The suite's (generator, block size) pairs, one list per inequality:
-    the seed's children, inequality-major, then block."""
+    """The suite's (generator, block size) pairs: one child of the seed per
+    block, which all four inequalities draw from."""
     B = inequalities.BLOCK
     sizes = [min(B, samples - start) for start in range(0, samples, B)]
-    rngs = [np.random.default_rng(c)
-            for c in np.random.SeedSequence(seed).spawn(4 * len(sizes))]
-    return [list(zip(rngs[i * len(sizes):], sizes)) for i in range(4)]
+    return [(np.random.default_rng(c), s)
+            for c, s in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)]
 
 
 def segments(rng, basis, s):
-    """A convexity block's samples (rho1, rho2, t): the s pairs of operators
-    are drawn first, then the s weights."""
-    pairs = [(random_psd(rng, basis), random_psd(rng, basis)) for _ in range(s)]
-    return [(r1, r2, t) for (r1, r2), t in zip(pairs, rng.uniform(0.1, 0.9, s))]
+    """A block's samples (rho1, rho2, rotation, t): per sample the two
+    operators and the rotation are drawn first, then the s weights."""
+    draws = [(random_psd(rng, basis), random_psd(rng, basis), haar_rotation(rng, basis.D))
+             for _ in range(s)]
+    return [(*d, t) for d, t in zip(draws, rng.uniform(0.1, 0.9, s))]
 
 
 def oracle_suite(basis, samples, seed):
     """The randomized entries of the suite, one sample at a time."""
-    lieb, peierls, convexity, perturbation = block_streams(samples, seed)
+    draws = [d for rng, s in block_streams(samples, seed) for d in segments(rng, basis, s)]
     return [
-        _worst([qm.validate_lieb(random_psd(rng, basis))
-                for rng, s in lieb for _ in range(s)]),
-        _worst([qm.validate_peierls(random_psd(rng, basis), haar_rotation(rng, basis.D))
-                for rng, s in peierls for _ in range(s)]),
-        _worst([qm.convexity_probe(r1, r2, t)
-                for rng, s in convexity for r1, r2, t in segments(rng, basis, s)]),
-        _worst([qm.eigenvalue_perturbation_check(random_psd(rng, basis),
-                                                 random_psd(rng, basis))
-                for rng, s in perturbation for _ in range(s)]),
+        _worst([qm.validate_lieb(r1) for r1, _, _, _ in draws]),
+        _worst([qm.validate_peierls(r1, R) for r1, _, R, _ in draws]),
+        _worst([qm.convexity_probe(r1, r2, t) for r1, r2, _, t in draws]),
+        _worst([qm.eigenvalue_perturbation_check(r1, r2) for r1, r2, _, _ in draws]),
     ]
 
 
@@ -78,6 +74,39 @@ def test_batched_suite_equals_per_sample_oracle(solved, samples):
         "euler_lagrange_residual", "potential_reconstruction", "log_sobolev"]
     for got, want in zip(suite[:4], oracle_suite(basis, samples, seed)):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+@pytest.mark.parametrize("samples", [1, 33, 200])
+def test_each_randomized_entry_covers_exactly_the_samples(solved, samples, monkeypatch):
+    basis, A, rho, n = solved
+    worst, sizes = fn.InequalityStack.worst, {}
+
+    def recording(stack):
+        sizes[stack.name] = len(stack.lhs)
+        return worst(stack)
+
+    monkeypatch.setattr(fn.InequalityStack, "worst", recording)
+    inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), samples, 3)
+    assert sizes == {name: samples for name in
+                     ("lieb", "peierls", "convexity", "eigenvalue_perturbation")}
+
+
+def test_suite_decomposes_four_operators_per_sample(monkeypatch):
+    # rho1, rho2, their convexity mixture and their difference's trace norm
+    basis = qm.build_basis(8)
+    A = qm.ChemicalPotential.from_callable(basis, lambda x: 0.5 * np.cos(2 * np.pi * x))
+    rho = qm.gibbs_from_potential(basis, A)
+    n = qm.DensityProfile(basis, qm.density_of(rho))
+    eigvalsh, lock, decomposed = np.linalg.eigvalsh, threading.Lock(), [0]
+
+    def counting(a, *args, **kwargs):
+        with lock:
+            decomposed[0] += int(np.prod(np.shape(a)[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), 200, 1)
+    assert decomposed[0] == 4 * 200
 
 
 @pytest.mark.parametrize("name, value", [
@@ -122,7 +151,7 @@ def test_suite_bytes_do_not_depend_on_the_worker_count(solved, samples, monkeypa
     with _RecordingPool(1) as pool:
         monkeypatch.setattr(inequalities, "_executor", lambda: pool)
         single = inequalities.run_inequality_suite(basis, A, rho, n, opts, samples, seed)
-    assert len(pool.submitted) == 4 * -(-samples // inequalities.BLOCK)
+    assert len(pool.submitted) == -(-samples // inequalities.BLOCK)
     assert [dataclasses.asdict(r) for r in single] == [dataclasses.asdict(r) for r in default]
 
 
@@ -149,7 +178,7 @@ def test_first_failing_block_in_order_raises_after_every_check_settles(solved, m
         assert all(future.done() for _, _, future in pool.submitted)
         # checks may start out of order: the first failed block in submission
         # order raises, a middle block
-        t0s = [segments(rng, basis, s)[0][2] for rng, s in block_streams(200, 11)[2]]
+        t0s = [segments(rng, basis, s)[0][3] for rng, s in block_streams(200, 11)]
         first_failed = next(t0 for t0 in t0s if t0 in failed)
         assert first_failed != t0s[-1]
         assert str(raised.value) == f"block with t[0] = {first_failed!r}"

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import qmaxwell as qm
 from qmaxwell import maxwellian_solver
 from qmaxwell.errors import BasisTooSmall, MaxIterExceeded, SingularDensityOperator
 from qmaxwell.functionals import GibbsState
+from qmaxwell.spectral_core import _xlogx, spectral_derivative
 
 
 @pytest.fixture(scope="module")
@@ -801,6 +803,51 @@ def test_reconstruction_stack_matches_single_calls(roundtrip8, b8):
     assert list(stacked) == [qm.reconstruct_potential_form(rho, n, psi) for psi in psis]
     with pytest.raises(ValueError):
         qm.reconstruct_potential_form(rho, n, psis[None])
+
+
+def _reconstruction_reference(rho, n, psi):
+    """The form as first written, with (D, K, N) temporaries and the FFT
+    derivative of (psi/n) phi_p."""
+    basis = rho.basis
+    g = (np.asarray(psi, dtype=float) / n.values)[..., None, :]
+    lam, V = rho.eigenpairs
+    keep = lam > 1e-250
+    lam = lam[keep]
+    phi = V.T[keep] @ basis.functions
+    dphi = V.T[keep] @ basis.derivatives
+    term1 = np.sum(_xlogx(lam) * np.mean(g * phi**2, axis=-1), axis=-1)
+    term2 = np.sum(lam * np.mean(dphi * spectral_derivative(g * phi), axis=-1), axis=-1)
+    return -term1 - term2
+
+
+@pytest.mark.parametrize("M", [4, 8, 20])
+def test_reconstruction_matches_the_fft_derivative_form(M):
+    basis = qm.build_basis(M)
+    A, n = forward(basis, lambda x: np.cos(2 * np.pi * x) - 0.4 * np.sin(6 * np.pi * x))
+    rho = qm.gibbs_from_potential(basis, A)
+    psis = np.vstack([basis.functions,
+                      np.random.default_rng(M).standard_normal((3, basis.N))])
+    bound = 1e-12 * (1.0 + np.abs(A.on_grid()).max())
+    stacked = qm.reconstruct_potential_form(rho, n, psis)
+    assert np.abs(stacked - _reconstruction_reference(rho, n, psis)).max() <= bound
+    for psi in psis[[0, 1, -1]]:
+        single = qm.reconstruct_potential_form(rho, n, psi)
+        assert abs(single - _reconstruction_reference(rho, n, psi)) <= bound
+
+
+def test_reconstruction_memory_does_not_grow_with_basis_times_grid():
+    # (D, K, N) temporaries, as in the FFT form, take about 100 MB at M = 64
+    basis = qm.build_basis(64)
+    A, n = forward(basis, lambda x: 0.5 * np.cos(2 * np.pi * x))
+    rho = qm.gibbs_from_potential(basis, A)
+    rho.eigenpairs  # decomposed before tracing: the form, not eigh, is measured
+    tracemalloc.start()
+    try:
+        qm.reconstruct_potential_form(rho, n, basis.functions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------
