@@ -321,8 +321,8 @@ def eigenvalue_perturbation_check(rho1: DensityOperator,
 # Each validator above is one stacked kernel below, applied to a stack of
 # one.  A kernel takes density matrices (s, D, D) with the spectra (s, D)
 # that spectral_core._checked_spectra returned for them, and returns one
-# InequalityStack.  Reductions whose stacked form rounds differently from
-# the 2-D call (dot products, the Frobenius norm) run per slice.
+# InequalityStack.  Every reduction runs along a sample's own axes, so a
+# sample's entries do not depend on how many samples share its stack.
 
 @dataclass(frozen=True)
 class InequalityStack:
@@ -357,7 +357,7 @@ class InequalityStack:
 
 def _lieb(basis: SpectralBasis, matrices, eigenvalues) -> InequalityStack:
     mu = np.sort(basis.h_eigenvalues)
-    lhs = np.array([lam @ mu for lam in eigenvalues[:, ::-1]])
+    lhs = np.sum(eigenvalues[:, ::-1] * mu, axis=-1)
     rhs = _energy_traces(basis, matrices)
     return InequalityStack("lieb", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + rhs))
 
@@ -378,8 +378,8 @@ def _convexity(matrices1, eigenvalues1, matrices2, eigenvalues2, t) -> Inequalit
     ts = t[:, None, None]
     lhs = _spectral_entropy(_checked_spectra(ts * matrices1 + (1.0 - ts) * matrices2))
     rhs = t * _spectral_entropy(eigenvalues1) + (1.0 - t) * _spectral_entropy(eigenvalues2)
-    distinct = np.array([np.linalg.norm(m1 - m2)
-                         for m1, m2 in zip(matrices1, matrices2)]) > 1e-8
+    diff = matrices1 - matrices2
+    distinct = np.sqrt(np.sum(diff * diff, axis=(-2, -1))) > 1e-8
     return InequalityStack("convexity", lhs, rhs, lhs <= rhs + 1e-10,
                            strict=distinct & (rhs - lhs > 1e-12))
 

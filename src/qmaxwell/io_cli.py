@@ -322,12 +322,8 @@ def _configure_logging():
     logging.getLogger("qmaxwell").setLevel(level)
 
 
-def _basis_for(args) -> SpectralBasis:
-    return build_basis(args.modes, args.grid)
-
-
 def _cmd_forward(args) -> int:
-    basis = _basis_for(args)
+    basis = build_basis(args.modes, args.grid)
     A = parse_potential(args.potential, basis)
     n = density_of(fn.gibbs_from_potential(basis, A))
     write_density_csv(args.out, basis, n)
@@ -336,7 +332,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_solve(args) -> int:
     """``solve``, and ``verify``: the inequality suite runs once the solve converges."""
-    basis = _basis_for(args)
+    basis = build_basis(args.modes, args.grid)
     n = parse_density_csv(args.density, basis)
     opts = SolverOptions(tol_l2=args.tol, max_iter=args.max_iter)
     failure, inequalities = None, []
@@ -364,7 +360,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    basis = _basis_for(args)
+    basis = build_basis(args.modes, args.grid)
     n = parse_density_csv(args.density, basis)
     kwargs = {"tol_l2": args.tol}
     if args.schedule:
@@ -372,7 +368,8 @@ def _cmd_sweep(args) -> int:
             kwargs["epsilon_schedule"] = tuple(
                 float(tok) for tok in args.schedule.split(",") if tok.strip())
         except ValueError:
-            raise PotentialExprError(f"bad schedule {args.schedule!r}") from None
+            raise ValueError(f"--schedule must be comma-separated numbers, "
+                             f"got {args.schedule!r}") from None
     opts = SolverOptions(**kwargs)
     # each row is written once its solve is done: a failed solve leaves the
     # header and every row finished before it

@@ -208,26 +208,22 @@ def _rounding_scale(n: DensityProfile, eps: float) -> float:
         return np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
 
 
-def _newton_direction(state: GibbsState, shift: float, rhs):
-    """The solution d of S d = rhs for the Newton matrix S = -Hess J + shift I
-    at ``state``.  LinAlgError when S is not finite or not positive
-    definite: the Cholesky factorization is the test (it lets a NaN entry
-    through), one LU solve gives d."""
-    S = -_hessian_from_spectrum(state)
-    S.flat[::S.shape[0] + 1] += shift
-    if not np.all(np.isfinite(S)):
-        raise np.linalg.LinAlgError("Newton matrix is not finite")
-    np.linalg.cholesky(S)
-    return np.linalg.solve(S, rhs)
-
-
 def _ascent_direction(state: GibbsState, eps: float = 0.0):
-    """(d, slope): Newton direction on J_eps and its slope g.d;
-    -Hess J_eps = -Hess J + eps I.  The fallback is the gradient itself,
-    ``state.grad_coeffs``."""
+    """(d, slope): the Newton direction on J_eps and its slope g.d, g =
+    ``state.grad_coeffs``.  d solves S d = g for the Newton matrix
+    S = -Hess J_eps + NEWTON_SHIFT I = -Hess J + (NEWTON_SHIFT + eps) I by
+    one LU solve, once S is finite and its Cholesky factorization shows it
+    positive definite (that test alone lets a NaN entry through).  The
+    fallback is the gradient g itself, taken when S fails either test or
+    the slope is not positive."""
     g = state.grad_coeffs
+    S = -_hessian_from_spectrum(state)
+    S.flat[::S.shape[0] + 1] += NEWTON_SHIFT + eps
     try:
-        d = _newton_direction(state, NEWTON_SHIFT + eps, g)
+        if not np.all(np.isfinite(S)):
+            raise np.linalg.LinAlgError("Newton matrix is not finite")
+        np.linalg.cholesky(S)
+        d = np.linalg.solve(S, g)
     except np.linalg.LinAlgError:
         log.info("Newton matrix not positive definite; falling back to gradient ascent")
         d = g

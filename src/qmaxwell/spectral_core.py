@@ -79,8 +79,7 @@ class SpectralBasis:
     N: int
     grid: np.ndarray
     h_eigenvalues: np.ndarray
-    functions: np.ndarray = field(repr=False)    # (D, N) values e_p(x_j)
-    derivatives: np.ndarray = field(repr=False)  # (D, N) values e_p'(x_j)
+    functions: np.ndarray = field(repr=False)  # (D, N) values e_p(x_j)
     # (D, 3M+1) values of e_p on the 3M+1-point product grid
     product_functions: np.ndarray = field(repr=False)
 
@@ -126,15 +125,9 @@ def build_basis(M: int, N: int | None = None) -> SpectralBasis:
     grid = np.arange(N) / N
     k = (np.arange(2 * M + 1) + 1) // 2
     h_eigenvalues = (2.0 * np.pi * k) ** 2
-    functions = _eval_functions(M, grid)
-    # e'_{2k-1} = -2 pi k e_{2k} and e'_{2k} = 2 pi k e_{2k-1}
-    w = 2.0 * np.pi * np.arange(1, M + 1)[:, None]
-    derivatives = np.zeros_like(functions)
-    derivatives[1::2] = -w * functions[2::2]
-    derivatives[2::2] = w * functions[1::2]
     product_grid = np.arange(3 * M + 1) / (3 * M + 1)
     return SpectralBasis(M=M, N=N, grid=grid, h_eigenvalues=h_eigenvalues,
-                         functions=functions, derivatives=derivatives,
+                         functions=_eval_functions(M, grid),
                          product_functions=_eval_functions(M, product_grid))
 
 
@@ -398,10 +391,9 @@ def energy_trace(rho: DensityOperator) -> float:
 
 
 def _energy_traces(basis: SpectralBasis, matrices) -> np.ndarray:
-    """:func:`energy_trace` of each slice of a stack (s, D, D).  One dot
-    product per slice: a stacked matrix-vector product rounds differently."""
-    mu = basis.h_eigenvalues
-    return np.array([mu @ np.diag(m) for m in matrices])
+    """:func:`energy_trace` of each slice of a stack (s, D, D), reduced along
+    each slice's own diagonal: a slice's value does not depend on the stack."""
+    return np.sum(np.diagonal(matrices, axis1=-2, axis2=-1) * basis.h_eigenvalues, axis=-1)
 
 
 def _as_matrix(op):

@@ -35,6 +35,18 @@ def random_symmetric(rng, D, scale=1.0):
     return 0.5 * (W + W.T)
 
 
+def basis_derivatives(basis):
+    """(D, N) values e_p'(x_j) of the basis on its grid by the explicit
+    formula e'_{2k-1} = -2 pi k e_{2k}, e'_{2k} = 2 pi k e_{2k-1}: a
+    reference independent of spectral_derivative."""
+    E = basis.functions
+    w = 2.0 * np.pi * np.arange(1, basis.M + 1)[:, None]
+    derivatives = np.zeros_like(E)
+    derivatives[1::2] = -w * E[2::2]
+    derivatives[2::2] = w * E[1::2]
+    return derivatives
+
+
 def h1_seminorm_sq(basis, values):
     """Discrete H^1 seminorm squared via the spectral derivative."""
     from qmaxwell import spectral_core

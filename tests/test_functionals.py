@@ -408,6 +408,11 @@ def test_log_sobolev_gibbs_state_reported(b4):
     assert rep.diagnostic
 
 
+def test_log_sobolev_needs_a_positive_trace(b4):
+    with pytest.raises(ValueError, match="Tr rho > 0"):
+        qm.log_sobolev_gap(qm.DensityOperator(b4, np.zeros((b4.D, b4.D))))
+
+
 def test_log_sobolev_scaling_identity(b4):
     rho = random_psd(np.random.default_rng(19), b4)
     doubled = qm.DensityOperator(b4, 2.0 * rho.matrix)

@@ -231,3 +231,29 @@ def test_stacked_convexity_rejects_a_weight_outside_the_segment():
     lam = np.array([op.eigenvalues for op in ops])
     with pytest.raises(ValueError, match="strictly inside"):
         fn._convexity(m, lam, m[::-1], lam[::-1], np.array([0.5, 1.0, 0.5]))
+
+
+def test_stacked_reductions_match_per_slice_dot_products():
+    # the kernels reduce along each sample's own axes; the per-slice dot
+    # products and Frobenius norms they replaced are the reference, within
+    # the summation bound D u sum|terms| of double precision
+    basis = qm.build_basis(8)
+    rng = np.random.default_rng(9)
+    ops = [random_psd(rng, basis) for _ in range(40)]
+    m = np.array([op.matrix for op in ops])
+    lam = np.array([op.eigenvalues for op in ops])
+    mu = basis.h_eigenvalues
+    sorted_mu = np.sort(mu)
+    bound = basis.D * np.finfo(float).eps
+    lieb = fn._lieb(basis, m, lam)
+    for i in range(len(ops)):
+        lhs = lam[i, ::-1] @ sorted_mu
+        rhs = mu @ np.diag(m[i])
+        assert abs(lieb.lhs[i] - lhs) <= bound * (np.abs(lam[i, ::-1]) @ sorted_mu)
+        assert abs(lieb.rhs[i] - rhs) <= bound * (mu @ np.abs(np.diag(m[i])))
+    m2 = m[::-1].copy()
+    m2[5] = m[5]  # an identical pair is never strict
+    convexity = fn._convexity(m, lam, m2, _checked_spectra(m2), np.full(len(ops), 0.5))
+    distinct = np.array([np.linalg.norm(a - b) for a, b in zip(m, m2)]) > 1e-8
+    assert not distinct[5]
+    assert np.array_equal(convexity.strict, distinct & (convexity.rhs - convexity.lhs > 1e-12))

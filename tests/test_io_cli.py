@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmaxwell as qm
+from qmaxwell import functionals as fn
 from qmaxwell import io_cli, maxwellian_solver
 from qmaxwell.errors import (
     BasisTooSmall,
@@ -155,6 +157,18 @@ def test_density_too_few_rows(tmp_path, b4):
         io_cli.parse_density_csv(path, b4)
 
 
+def test_density_that_resamples_below_zero_is_rejected(tmp_path, b4):
+    # positive on its 17 rows, but the Fourier interpolant of a spike on a
+    # small floor rings below zero between them on the 32-point grid
+    values = np.full(17, 1e-3)
+    values[8] = 1.0
+    assert np.min(io_cli._resample(values, b4.N)) < 0.0
+    path = tmp_path / "spike.csv"
+    write_density(path, values)
+    with pytest.raises(NonPositiveDensity, match="after resampling"):
+        io_cli.parse_density_csv(path, b4)
+
+
 # ---------------------------------------------------------------------------
 # potential expressions and files
 
@@ -206,6 +220,13 @@ def test_potential_file_matches_expression(tmp_path, b4):
     A_file = io_cli.parse_potential(str(path), b4)
     A_expr = io_cli.potential_from_expression("0.4*cos(2*pi*x)", b4)
     assert_allclose(A_file.coefficients, A_expr.coefficients, atol=1e-13)
+
+
+def test_potential_file_needs_two_rows(tmp_path, b4):
+    path = tmp_path / "one.csv"
+    path.write_text("x,a\n0.0,1.5\n")
+    with pytest.raises(DensityFileError, match="need at least 2 samples, got 1"):
+        io_cli.parse_potential(str(path), b4)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +396,21 @@ def test_cli_verify_deterministic(tmp_path):
     assert diag["diagnostic"] is True
 
 
+def test_cli_verify_exits_1_and_writes_the_failed_inequality(tmp_path, monkeypatch):
+    density = tmp_path / "n.csv"
+    assert run_cli("forward", "--potential", "0.8*cos(2*pi*x)", "--modes", "4",
+                   "--out", str(density)) == 0
+    failed = fn.InequalityReport(name="lieb", lhs=2.0, rhs=1.0, gap=-1.0, holds=False)
+    monkeypatch.setattr(io_cli, "run_inequality_suite", lambda *args: [failed])
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--density", str(density), "--modes", "4",
+                   "--out", str(out)) == 1
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["inequalities"] == [dataclasses.asdict(failed)]
+    assert payload["inequalities"][0]["holds"] is False
+    assert payload["result"]["residual_l2"] <= 1e-9
+
+
 def test_cli_sweep_epsilon(tmp_path, monkeypatch):
     # the second density, on the default schedule, failed when the penalized
     # solve stopped on the grid defect, whose out-of-basis part no potential
@@ -506,6 +542,23 @@ def test_cli_input_errors(tmp_path, capsys):
                        "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "line 10" in err and "RuntimeWarning" not in err
+
+
+def test_cli_bad_schedule_is_a_value_error(tmp_path, capsys):
+    # a schedule that does not parse is a bad option value, not a violation
+    # of the potential grammar; it exits 3 before the output file is opened
+    density = tmp_path / "n.csv"
+    write_density(density, np.ones(32))
+    out = tmp_path / "s.csv"
+    argv = ["sweep-epsilon", "--density", str(density), "--modes", "4",
+            "--schedule", "1,abc", "--out", str(out)]
+    assert run_cli(*argv) == 3
+    assert "--schedule" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="--schedule") as info:
+        io_cli._cmd_sweep(io_cli._build_parser().parse_args(argv))
+    assert not isinstance(info.value, PotentialExprError)
+    assert not out.exists()
 
 
 def test_runtime_loads_no_scipy(tmp_path):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import basis_derivatives
 
 import qmaxwell as qm
 from qmaxwell import maxwellian_solver
@@ -426,6 +427,20 @@ def _hard_density(x):
     return 1e-4 + np.exp(-200.0 * (x - 0.5) ** 2)
 
 
+def test_zero_budget_returns_a_converged_start_and_fails_any_other():
+    # with max_iter = 0 the loop never runs: the start is judged after it
+    b20 = qm.build_basis(20)
+    _, n = forward(b20, lambda x: 0.5 * np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
+    _, _, report = qm.solve_maxwellian(n, qm.SolverOptions(max_iter=0))
+    assert report.iterations == 0
+    assert report.history == []
+    assert report.residual_l2 <= 1e-9
+    hard = qm.DensityProfile(b20, _hard_density(b20.grid))
+    with pytest.raises(MaxIterExceeded, match="after 0 iterations") as info:
+        qm.solve_maxwellian(hard, qm.SolverOptions(max_iter=0))
+    assert info.value.report.iterations == 0
+
+
 # (mode cutoff M, density, least acceptable suggestion)
 _TOO_SMALL = {
     "cos6-M1": (1, lambda x: 1.0 + 0.5 * np.cos(6 * np.pi * x), 3),
@@ -814,7 +829,7 @@ def _reconstruction_reference(rho, n, psi):
     keep = lam > 1e-250
     lam = lam[keep]
     phi = V.T[keep] @ basis.functions
-    dphi = V.T[keep] @ basis.derivatives
+    dphi = V.T[keep] @ basis_derivatives(basis)
     term1 = np.sum(_xlogx(lam) * np.mean(g * phi**2, axis=-1), axis=-1)
     term2 = np.sum(lam * np.mean(dphi * spectral_derivative(g * phi), axis=-1), axis=-1)
     return -term1 - term2

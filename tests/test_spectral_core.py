@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import fd_gibbs_projection, h1_seminorm_sq, random_psd
+from helpers import basis_derivatives, fd_gibbs_projection, h1_seminorm_sq, random_psd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -324,7 +324,7 @@ def test_spectral_derivatives_of_a_trig_polynomial(N):
     basis = qm.build_basis(7, N)
     c = np.random.default_rng(3).normal(size=basis.D)
     u = basis.synthesize(c)
-    assert_allclose(spectral_derivative(u), c @ basis.derivatives, rtol=0, atol=1e-10)
+    assert_allclose(spectral_derivative(u), c @ basis_derivatives(basis), rtol=0, atol=1e-10)
     assert_allclose(spectral_derivative(u, order=2),
                     basis.synthesize(-basis.h_eigenvalues * c), rtol=0, atol=1e-9)
     if N % 2 == 0:
@@ -374,6 +374,19 @@ def test_density_operator_rejects_non_finite_matrix(diagonal):
     # unchecked, NaN and inf pass as a made-up spectrum or fail in LAPACK
     with pytest.raises(ValueError, match="not finite"):
         qm.DensityOperator(qm.build_basis(2), np.diag(diagonal))
+
+
+def test_constructors_reject_wrong_shapes_and_non_finite_samples(b3):
+    with pytest.raises(ValueError, match=f"incompatible with D={b3.D}"):
+        qm.DensityOperator(b3, np.eye(b3.D + 1))
+    with pytest.raises(ValueError, match=f"expected {b3.N} samples"):
+        qm.DensityProfile(b3, np.ones(b3.N - 1))
+    values = np.ones(b3.N)
+    values[2] = np.nan
+    with pytest.raises(qm.NonPositiveDensity, match="non-finite"):
+        qm.DensityProfile(b3, values)
+    with pytest.raises(ValueError, match=f"expected {b3.D} coefficients"):
+        qm.ChemicalPotential(b3, np.zeros(b3.D + 1))
 
 
 def _spectral_consumers(basis):
