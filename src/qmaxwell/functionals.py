@@ -29,8 +29,10 @@ from .spectral_core import (
     DensityOperator,
     DensityProfile,
     SpectralBasis,
+    _check_orthogonal,
     _check_same_basis,
     _checked_spectra,
+    _compose,
     _energy_traces,
     _multiplication_matrix,
     _spectral_entropy,
@@ -147,19 +149,19 @@ class GibbsState:
     @property
     def matrix(self) -> np.ndarray:
         """Coefficient matrix V diag(weights) V^T, symmetrized."""
-        m = (self.V * self.weights) @ self.V.T
-        return 0.5 * (m + m.T)
+        return _compose(self.V, self.weights)
 
 
 def gibbs_from_potential(basis: SpectralBasis, A: ChemicalPotential) -> DensityOperator:
-    """rho = exp(-(H+A)); ValueError when exp(-lam) overflows (lam < -709.78)."""
+    """rho = exp(-(H+A)) from the eigenpairs (exp(-lam), V) of H + A, decomposed
+    once; ValueError when exp(-lam) overflows (lam < -709.78)."""
     _check_same_basis(basis, A.basis)
     state = GibbsState(A)
     if not np.all(np.isfinite(state.weights)):
         raise ValueError(
             f"exp(-(H+A)) would overflow: the smallest eigenvalue of H+A is "
             f"{state.lam[0]:.6g}, below the overflow limit {EXP_OVERFLOW_LIMIT:.6g}")
-    return DensityOperator(basis, state.matrix)
+    return DensityOperator.from_eigenpairs(basis, state.weights, state.V)
 
 
 def dual_functional(A: ChemicalPotential, n: DensityProfile) -> float:
@@ -363,10 +365,8 @@ def _lieb(basis: SpectralBasis, matrices, eigenvalues) -> InequalityStack:
 
 
 def _peierls(matrices, eigenvalues, rotations) -> InequalityStack:
+    _check_orthogonal(rotations, "rotation")
     Rt = np.swapaxes(rotations, -1, -2)
-    eye = np.eye(rotations.shape[-1])
-    if np.any(np.max(np.abs(Rt @ rotations - eye), axis=(-2, -1)) > 1e-10):
-        raise ValueError("rotation is not orthogonal within 1e-10")
     lhs = _spectral_entropy(np.diagonal(Rt @ matrices @ rotations, axis1=-2, axis2=-1))
     rhs = _spectral_entropy(eigenvalues)
     return InequalityStack("peierls", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + np.abs(rhs)))

@@ -41,6 +41,7 @@ from .spectral_core import (
     ChemicalPotential,
     DensityProfile,
     SpectralBasis,
+    _integer_at_least,
     build_basis,
     density_of,
 )
@@ -261,12 +262,9 @@ def _int_at_least(low):
     """argparse type: an integer >= low, else a usage error naming the flag."""
     def parse(text):
         try:
-            value = int(text)
+            return _integer_at_least("value", int(text), low)
         except ValueError:
-            value = low - 1
-        if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
     return parse
 
 

@@ -42,7 +42,6 @@ rounding scale u ||n||_2 / eps, whichever is larger.
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +59,7 @@ from .spectral_core import (
     DensityProfile,
     SpectralBasis,
     _grid_spectrum,
+    _integer_at_least,
     _xlogx,
     assemble_hamiltonian_plus_potential,
     sobolev_norm,
@@ -96,12 +96,7 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.tol_l2 < np.inf:
             raise ValueError(f"tol_l2 must be finite and > 0, got {self.tol_l2!r}")
-        try:
-            max_iter = operator.index(self.max_iter)
-        except TypeError:
-            max_iter = -1
-        if max_iter < 0:
-            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        _integer_at_least("max_iter", self.max_iter, 0)
         sched = tuple(float(e) for e in self.epsilon_schedule)
         if not sched:
             raise ValueError("epsilon_schedule must not be empty")

@@ -22,12 +22,14 @@ state exp(-(H+A)) built from that matrix lives in :mod:`qmaxwell.functionals`.
 
 :class:`DensityOperator` is the one place that decomposes and checks a
 density operator: finite, symmetric and PSD at construction, keeping that
-check's ``eigvalsh`` spectrum, and ``eigenpairs`` (one ``eigh``) on demand.
+check's ``eigvalsh`` spectrum, and ``eigenpairs`` (one ``eigh``) on demand;
+``from_eigenpairs`` composes one from a known spectrum and decomposes nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +58,14 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
+ORTHOGONALITY_TOL = 1e-10
+
+
+def _integer_at_least(name, value, least):
+    """``value`` if it is an integer >= least, else a ValueError naming it."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _eval_functions(M, x):
@@ -149,6 +159,19 @@ def _check_finite_symmetric(m, what):
         raise ValueError(f"{what} is not symmetric within tolerance")
 
 
+def _check_orthogonal(frames, what):
+    """ValueError unless each frame V of a stack has V^T V = I within ORTHOGONALITY_TOL."""
+    error = np.swapaxes(frames, -1, -2) @ frames - np.eye(frames.shape[-1])
+    if not np.all(np.abs(error) <= ORTHOGONALITY_TOL):
+        raise ValueError(f"{what} is not orthogonal within {ORTHOGONALITY_TOL:g}")
+
+
+def _compose(frames, weights):
+    """V diag(w) V^T, symmetrized, of frames V and weights w (one or a stack)."""
+    m = (frames * weights[..., None, :]) @ np.swapaxes(frames, -1, -2)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
 def _check_psd(lam, matrices):
     """NotPositiveSemidefinite if a spectrum in lam (s, D) is below -PSD_TOL (|Tr| + 1)."""
     lam_min = lam[:, 0]
@@ -163,7 +186,7 @@ def _checked_spectra(matrices) -> np.ndarray:
     operator matrices, once every slice is finite, symmetric within
     SYMMETRY_TOL and PSD within PSD_TOL; raises if any slice is not.
 
-    Every :class:`DensityOperator` runs this check as a stack of one.
+    A :class:`DensityOperator` built from a matrix runs it as a stack of one.
     """
     m = np.asarray(matrices, dtype=float)
     _check_finite_symmetric(m, "density operator matrix")
@@ -188,6 +211,20 @@ class DensityOperator:
         if m.shape != (D, D):
             raise ValueError(f"matrix shape {m.shape} incompatible with D={D}")
         object.__setattr__(self, "eigenvalues", _checked_spectra(m[None])[0])
+
+    @classmethod
+    def from_eigenpairs(cls, basis: SpectralBasis, eigenvalues, eigenvectors) -> "DensityOperator":
+        """V diag(w) V^T, with ``eigenvalues`` sort(w) and no decomposition; V must
+        be a D x D frame orthogonal within ORTHOGONALITY_TOL, w finite and >= 0."""
+        w, V = np.asarray(eigenvalues, dtype=float), np.asarray(eigenvectors, dtype=float)
+        if not (w.shape == (basis.D,) and V.shape == (basis.D, basis.D)
+                and np.all((w >= 0.0) & (w < np.inf))):
+            raise ValueError(f"need {basis.D} eigenvalues, finite and >= 0, and a "
+                             f"{basis.D} x {basis.D} frame; got shapes {w.shape}, {V.shape}")
+        _check_orthogonal(V[None], "eigenvector frame")
+        rho = object.__new__(cls)  # skips __post_init__, which decomposes the matrix
+        rho.__dict__.update(basis=basis, matrix=_compose(V, w), eigenvalues=np.sort(w))
+        return rho
 
     @functools.cached_property
     def eigenpairs(self):
@@ -463,7 +500,10 @@ def _xlogx(s):
 
 
 def _beta_eta(s, eta):
-    """Regularized entropy integrand (s+eta) log(s+eta) - s - eta log eta, s >= 0."""
+    """Regularized entropy integrand (s+eta) log(s+eta) - s - eta log eta, s >= 0;
+    ValueError unless eta is finite and >= 0."""
+    if not 0.0 <= eta < np.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     if eta == 0.0:
         return _xlogx(s) - s
     return (s + eta) * np.log(s + eta) - s - eta * np.log(eta)
@@ -471,18 +511,13 @@ def _beta_eta(s, eta):
 
 def matrix_entropy_function(rho: DensityOperator, eta: float = 0.0) -> np.ndarray:
     """Spectral application of the (regularized) entropy integrand to rho."""
-    if not 0.0 <= eta < np.inf:
-        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     lam, V = rho.eigenpairs
-    m = (V * _beta_eta(lam, eta)) @ V.T
-    return 0.5 * (m + m.T)
+    return _compose(V, _beta_eta(lam, eta))
 
 
 def entropy_trace(rho: DensityOperator, eta: float = 0.0) -> float:
     """Tr beta_eta(rho); equals the trace of :func:`matrix_entropy_function`.
     Reads the spectrum the constructor computed and checked for PSD."""
-    if not 0.0 <= eta < np.inf:
-        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     return float(_spectral_entropy(rho.eigenvalues, eta))
 
 

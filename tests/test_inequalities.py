@@ -2,11 +2,12 @@
 over the public validators that draws from the same per-block streams."""
 
 import dataclasses
-import itertools
-import threading
-import time
+import json
+import os
+import subprocess
+import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +34,18 @@ def block_streams(samples, seed):
             for c, s in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)]
 
 
+def sample(rng, basis):
+    """One sample's (rho1, rho2, rotation): rho1 Wishart, then the rotation R,
+    then rho2 with the spectrum g^2 of D normals g in the frame R."""
+    rho1, R = random_psd(rng, basis), haar_rotation(rng, basis.D)
+    mu = rng.standard_normal(basis.D) ** 2
+    return rho1, qm.DensityOperator.from_eigenpairs(basis, mu, R), R
+
+
 def segments(rng, basis, s):
     """A block's samples (rho1, rho2, rotation, t): per sample the two
     operators and the rotation are drawn first, then the s weights."""
-    draws = [(random_psd(rng, basis), random_psd(rng, basis), haar_rotation(rng, basis.D))
-             for _ in range(s)]
+    draws = [sample(rng, basis) for _ in range(s)]
     return [(*d, t) for d, t in zip(draws, rng.uniform(0.1, 0.9, s))]
 
 
@@ -52,13 +60,17 @@ def oracle_suite(basis, samples, seed):
     ]
 
 
-@pytest.fixture(scope="module", params=[1, 4, 8], ids=lambda M: f"M{M}")
-def solved(request):
-    basis = qm.build_basis(request.param)
+def solved_at(M):
+    """(basis, A, rho, n) at cutoff M for A = 0.5 cos 2 pi x."""
+    basis = qm.build_basis(M)
     A = qm.ChemicalPotential.from_callable(basis, lambda x: 0.5 * np.cos(2 * np.pi * x))
     rho = qm.gibbs_from_potential(basis, A)
-    n = qm.DensityProfile(basis, qm.density_of(rho))
-    return basis, A, rho, n
+    return basis, A, rho, qm.DensityProfile(basis, qm.density_of(rho))
+
+
+@pytest.fixture(scope="module", params=[1, 4, 8], ids=lambda M: f"M{M}")
+def solved(request):
+    return solved_at(request.param)
 
 
 # the block edges of inequalities.BLOCK = 32, and the CLI's default
@@ -91,22 +103,42 @@ def test_each_randomized_entry_covers_exactly_the_samples(solved, samples, monke
                      ("lieb", "peierls", "convexity", "eigenvalue_perturbation")}
 
 
-def test_suite_decomposes_four_operators_per_sample(monkeypatch):
-    # rho1, rho2, their convexity mixture and their difference's trace norm
-    basis = qm.build_basis(8)
-    A = qm.ChemicalPotential.from_callable(basis, lambda x: 0.5 * np.cos(2 * np.pi * x))
-    rho = qm.gibbs_from_potential(basis, A)
-    n = qm.DensityProfile(basis, qm.density_of(rho))
-    eigvalsh, lock, decomposed = np.linalg.eigvalsh, threading.Lock(), [0]
+def test_suite_decomposes_three_operators_per_sample(monkeypatch):
+    # rho1, the convexity mixture and rho1 - rho2 for its trace norm; rho2's
+    # spectrum is drawn, not computed
+    basis, A, rho, n = solved_at(8)
+    eigvalsh, decomposed = np.linalg.eigvalsh, [0]
 
     def counting(a, *args, **kwargs):
-        with lock:
-            decomposed[0] += int(np.prod(np.shape(a)[:-2]))
+        decomposed[0] += int(np.prod(np.shape(a)[:-2]))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), 200, 1)
-    assert decomposed[0] == 4 * 200
+    assert decomposed[0] == 3 * 200
+
+
+@pytest.mark.parametrize("M", [1, 8, 32])
+def test_suite_second_operator_has_the_drawn_spectrum(M, monkeypatch):
+    # rho2 = R diag(mu) R^T is never decomposed by the suite: an independent
+    # eigvalsh of its stack must give sort(mu), mu the squares of the normals
+    # the per-sample oracle draws, within the rounding of the composition
+    basis, A, rho, n = solved_at(M)
+    perturbation, seen = fn._perturbation, []
+
+    def recording(m1, lam1, m2, lam2):
+        seen.append((m2, lam2))
+        return perturbation(m1, lam1, m2, lam2)
+
+    monkeypatch.setattr(fn, "_perturbation", recording)
+    inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), 40, 5)
+    spectra = np.concatenate([lam2 for _, lam2 in seen])
+    drawn = [r2.eigenvalues for rng, s in block_streams(40, 5)
+             for _, r2, _, _ in segments(rng, basis, s)]
+    assert np.array_equal(spectra, np.array(drawn))
+    computed = np.linalg.eigvalsh(np.concatenate([m2 for m2, _ in seen]))
+    bound = 1e-12 * (1.0 + spectra.max(axis=-1, keepdims=True))
+    assert np.all(np.abs(computed - spectra) <= bound)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -115,78 +147,93 @@ def test_suite_decomposes_four_operators_per_sample(monkeypatch):
 ])
 def test_suite_rejects_a_bad_sample_count_or_seed(name, value, monkeypatch):
     # 0 used to raise from range(), 2.5 a bare TypeError and 1.5 from
-    # SeedSequence; nothing may be submitted before the arguments are checked
+    # SeedSequence; no block may be checked before the arguments are
     basis = qm.build_basis(2)
     A = qm.ChemicalPotential.constant(basis, 0.0)
     rho = qm.gibbs_from_potential(basis, A)
     n = qm.DensityProfile(basis, qm.density_of(rho))
-    monkeypatch.setattr(inequalities, "_executor", None)
+    checked = []
+    monkeypatch.setattr(inequalities, "_check_block", lambda *a: checked.append(a))
     args = {"samples": 5, "seed": 1, name: value}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
             inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(),
                                               args["samples"], args["seed"])
+    assert checked == []
 
 
-class _RecordingPool(ThreadPoolExecutor):
-    """A check pool that keeps every submitted call and its future."""
+_ONE_CPU_SUITES = """
+import dataclasses, json, os, sys
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+import qmaxwell as qm
+from qmaxwell.inequalities import run_inequality_suite
+out = {}
+for M in (1, 4, 8):
+    basis = qm.build_basis(M)
+    A = qm.ChemicalPotential.from_callable(basis, lambda x: 0.5 * np.cos(2 * np.pi * x))
+    rho = qm.gibbs_from_potential(basis, A)
+    n = qm.DensityProfile(basis, qm.density_of(rho))
+    for samples in (1, 31, 33, 200):
+        suite = run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), samples,
+                                     1000 * M + samples)
+        out[f"{M}-{samples}"] = [dataclasses.asdict(r) for r in suite]
+print(json.dumps(out))
+"""
 
-    def __init__(self, workers):
-        super().__init__(max_workers=workers)
-        self.submitted = []
 
-    def submit(self, fn, /, *args, **kwargs):
-        future = super().submit(fn, *args, **kwargs)
-        self.submitted.append((fn, args, future))
-        return future
+@pytest.fixture(scope="module")
+def one_cpu_suites():
+    """The suites of the worker-count test, computed by a fresh interpreter
+    pinned to one CPU (where the platform allows) with one BLAS thread."""
+    src = str(Path(qm.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_SUITES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("samples", [1, 31, 33, 200])
-def test_suite_bytes_do_not_depend_on_the_worker_count(solved, samples, monkeypatch):
+def test_suite_bytes_do_not_depend_on_the_worker_count(solved, samples, one_cpu_suites):
+    # the suite runs its blocks serially; the only workers left are BLAS's
+    # threads, so one CPU and one BLAS thread must write the bytes that this
+    # process writes with its default threads
     basis, A, rho, n = solved
-    opts = qm.SolverOptions()
     seed = 1000 * basis.M + samples
-    default = inequalities.run_inequality_suite(basis, A, rho, n, opts, samples, seed)
-    with _RecordingPool(1) as pool:
-        monkeypatch.setattr(inequalities, "_executor", lambda: pool)
-        single = inequalities.run_inequality_suite(basis, A, rho, n, opts, samples, seed)
-    assert len(pool.submitted) == -(-samples // inequalities.BLOCK)
-    assert [dataclasses.asdict(r) for r in single] == [dataclasses.asdict(r) for r in default]
+    suite = inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(),
+                                              samples, seed)
+    here = json.dumps([dataclasses.asdict(r) for r in suite])
+    assert here == json.dumps(one_cpu_suites[f"{basis.M}-{samples}"])
 
 
-def test_first_failing_block_in_order_raises_after_every_check_settles(solved, monkeypatch):
+def test_first_failing_block_raises_before_later_blocks_run(solved, monkeypatch):
     basis, A, rho, n = solved
     opts = qm.SolverOptions()
-    convexity, calls, failed = fn._convexity, itertools.count(1), set()
+    convexity, calls = fn._convexity, []
 
     def failing(*args):
-        # every call from the 3rd on fails, the 3rd slowest, so that a later
-        # block can fail first and checks are still running when one fails
-        call, t0 = next(calls), args[-1][0]
-        if call >= 3:
-            time.sleep(0.05 if call == 3 else 0.02)
-            failed.add(t0)
-            raise RuntimeError(f"block with t[0] = {t0!r}")
+        # the 3rd block of 7 fails
+        calls.append(args[-1][0])
+        if len(calls) == 3:
+            raise RuntimeError(f"block with t[0] = {calls[-1]!r}")
         return convexity(*args)
 
-    with _RecordingPool(2) as pool:
-        monkeypatch.setattr(inequalities, "_executor", lambda: pool)
-        monkeypatch.setattr(fn, "_convexity", failing)
-        with pytest.raises(RuntimeError) as raised:
-            inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
-        assert all(future.done() for _, _, future in pool.submitted)
-        # checks may start out of order: the first failed block in submission
-        # order raises, a middle block
-        t0s = [segments(rng, basis, s)[0][3] for rng, s in block_streams(200, 11)]
-        first_failed = next(t0 for t0 in t0s if t0 in failed)
-        assert first_failed != t0s[-1]
-        assert str(raised.value) == f"block with t[0] = {first_failed!r}"
+    monkeypatch.setattr(fn, "_convexity", failing)
+    with pytest.raises(RuntimeError) as raised:
+        inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
+    t0s = [segments(rng, basis, s)[0][3] for rng, s in block_streams(200, 11)]
+    assert len(t0s) == 7 and calls == t0s[:3]
+    assert str(raised.value) == f"block with t[0] = {t0s[2]!r}"
 
-        monkeypatch.setattr(fn, "_convexity", convexity)
-        suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
-        for got, want in zip(suite[:4], oracle_suite(basis, 200, 11)):
-            assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    monkeypatch.setattr(fn, "_convexity", convexity)
+    suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
+    for got, want in zip(suite[:4], oracle_suite(basis, 200, 11)):
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 def test_stacked_psd_check_finds_one_bad_slice():
@@ -219,6 +266,9 @@ def test_stacked_peierls_finds_one_non_orthogonal_rotation():
     rotations = np.array([haar_rotation(rng, basis.D) for _ in range(40)])
     assert fn._peierls(matrices, spectra, rotations).holds.all()
     rotations[33] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match="not orthogonal"):
+        fn._peierls(matrices, spectra, rotations)
+    rotations[33] = np.nan  # NaN passes a test such as error > tol
     with pytest.raises(ValueError, match="not orthogonal"):
         fn._peierls(matrices, spectra, rotations)
 

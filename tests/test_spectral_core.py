@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import basis_derivatives, fd_gibbs_projection, h1_seminorm_sq, random_psd
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import qmaxwell as qm
 from qmaxwell.errors import NotPositiveSemidefinite
+from qmaxwell.functionals import GibbsState
 from qmaxwell.spectral_core import spectral_derivative
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -193,6 +196,47 @@ def test_gibbs_overflow_names_its_cause(b3):
     with pytest.raises(ValueError, match="overflow") as info:
         qm.gibbs_from_potential(b3, A)
     assert "-800" in str(info.value) and "-709.78" in str(info.value)
+
+
+def test_gibbs_state_is_composed_from_its_eigenpairs(b8, monkeypatch):
+    # one eigh of H + A and no eigvalsh: the matrix is the Gibbs state's own,
+    # bit for bit, and the spectrum is its weights exp(-lam), sorted
+    A = qm.ChemicalPotential.from_callable(b8, lambda x: 0.5 * np.cos(2 * np.pi * x))
+    state = GibbsState(A)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gibbs_from_potential decomposed its matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rho = qm.gibbs_from_potential(b8, A)
+    monkeypatch.undo()
+    assert np.array_equal(rho.matrix, state.matrix)
+    assert np.array_equal(rho.eigenvalues, np.sort(state.weights))
+    scale = 1e-14 * rho.eigenvalues[-1]
+    assert np.all(np.abs(np.linalg.eigvalsh(rho.matrix) - rho.eigenvalues) <= scale)
+
+
+def test_from_eigenpairs_rejects_a_bad_spectrum_or_frame(b3):
+    rng = np.random.default_rng(4)
+    Q = np.linalg.qr(rng.standard_normal((b3.D, b3.D)))[0]
+    w = rng.uniform(0.0, 2.0, b3.D)
+    rho = qm.DensityOperator.from_eigenpairs(b3, w, Q)
+    assert np.array_equal(rho.eigenvalues, np.sort(w))
+    assert_allclose(rho.matrix, Q @ np.diag(w) @ Q.T, rtol=0, atol=1e-14)
+    assert np.array_equal(rho.matrix, rho.matrix.T)
+    skewed = Q.copy()
+    skewed[0, 0] += 1e-8
+    cases = [(np.where(np.arange(b3.D) == 2, -1e-300, w), Q, "finite and >= 0"),
+             (np.where(np.arange(b3.D) == 2, np.nan, w), Q, "finite and >= 0"),
+             (np.where(np.arange(b3.D) == 2, np.inf, w), Q, "finite and >= 0"),
+             (w[:-1], Q, "shapes"),
+             (w, skewed, "not orthogonal"),
+             (w, np.where(np.eye(b3.D, dtype=bool), np.nan, Q), "not orthogonal")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eigenvalues, frame, message in cases:
+            with pytest.raises(ValueError, match=message):
+                qm.DensityOperator.from_eigenpairs(b3, eigenvalues, frame)
 
 
 def test_gibbs_matches_finite_difference_oracle_quick():
