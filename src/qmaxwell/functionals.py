@@ -109,7 +109,8 @@ def penalized_free_energy(rho: DensityOperator, n: DensityProfile,
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     _check_same_basis(rho.basis, n.basis)
     diff = density_of(rho) - n.values
-    penalty = 0.5 / epsilon * rho.basis.quadrature(diff * diff)
+    with np.errstate(over="ignore"):  # an overflowed penalty reads inf
+        penalty = 0.5 / epsilon * rho.basis.quadrature(diff * diff)
     return _functional_value(entropy_trace(rho, eta), energy_trace(rho), penalty)
 
 
@@ -117,19 +118,19 @@ class GibbsState:
     """exp(-(H+A)) through the eigenpairs (lam, V) of H + A: ``weights`` =
     exp(-lam), eigenfunctions ``phi`` = V^T E on the grid, ``density``.
 
-    Given a target n, also ``residual`` = n[rho] - n (the gradient of J),
-    ``residual_l2``, and the penalized dual J_eps(A) = J(A) - (eps/2)||A||^2
-    that a line search reads: ``objective`` = J_eps(A) and its coefficient
-    gradient ``grad_coeffs`` = P(residual) - eps a (J itself at eps = 0;
-    ||A||_L2^2 = a.a since the basis is orthonormal).  Overflow is
-    expected and silent: weights stay inf, gibbs_from_potential raises on
-    them, and a line search reads a non-finite J and rejects the trial.
+    Given a ``target`` n and ``eps``, also ``residual`` = n[rho] - n (the
+    gradient of J), ``residual_l2``, and the dual J_eps(A) = J(A) -
+    (eps/2)||A||^2 that the ascent reads: ``objective`` = J_eps(A), its
+    coefficient gradient ``grad_coeffs`` = P(residual) - eps a (||A||^2 =
+    a.a, the basis being orthonormal) and its norm ``grad_norm``.  Overflow
+    is silent: weights and norms stay inf, gibbs_from_potential raises on
+    the weights, and a line search reads a non-finite J and rejects the trial.
     """
 
     def __init__(self, A: ChemicalPotential, n: DensityProfile | None = None,
                  eps: float = 0.0):
         basis = A.basis
-        self.potential = A
+        self.potential, self.target, self.eps = A, n, eps
         self.lam, self.V = np.linalg.eigh(assemble_hamiltonian_plus_potential(basis, A))
         self.phi = self.V.T @ basis.functions
         if n is not None:
@@ -143,6 +144,7 @@ class GibbsState:
             self.residual_l2 = float(np.sqrt(basis.quadrature(self.residual**2)))
             a = A.coefficients
             self.grad_coeffs = basis.project(self.residual) - eps * a
+            self.grad_norm = float(np.linalg.norm(self.grad_coeffs))
             coupling = basis.quadrature(A.on_grid() * n.values)
             self.objective = float(-np.sum(self.weights) - coupling - 0.5 * eps * (a @ a))
 

@@ -5,8 +5,10 @@ grid that excludes x = 1, with finite fields; solver output is a JSON
 report that round-trips losslessly (floats are written at full round-trip
 precision).  Exit codes: 0 success, 1 a failed ``verify`` inequality, 2
 iteration budget exhausted, 3 invalid input (including a mode cutoff too
-small for the density), 64 usage error.  ``solve`` and ``verify`` write
-the report for the last iterate on exit 2 and on a too-small basis as well;
+small for the density, a potential that is not finite in double precision
+and an output that cannot be written), 64 usage error.  ``solve`` and
+``verify`` write the report for the last iterate, with the density its
+residual was measured on, on exit 2 and on a too-small basis as well;
 ``sweep-epsilon`` then writes the rows finished before the failed solve.
 """
 
@@ -154,10 +156,23 @@ _TERM_RE = re.compile(
     r"(?P<trig>\*?(?P<fn>cos|sin)\(2\*pi(?:\*(?P<k>\d+))?\*x\))?$")
 
 
+def _finite_potential(basis: SpectralBasis, coeffs, source) -> ChemicalPotential:
+    """The potential with these coefficients once its values on the grid are
+    finite (an inf coefficient makes some of them inf or NaN);
+    PotentialExprError naming ``source`` otherwise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite(basis.synthesize(coeffs)))
+    if not finite:
+        raise PotentialExprError(f"{source} is not finite in double precision on "
+                                 f"the {basis.N}-point grid")
+    return ChemicalPotential(basis, coeffs)
+
+
 def potential_from_expression(expr: str, basis: SpectralBasis) -> ChemicalPotential:
     """Restricted grammar: sums of ``c``, ``c*cos(2*pi*k*x)``, ``c*sin(2*pi*k*x)``.
 
     ``zero`` is accepted as an alias for 0; a missing coefficient means 1.
+    A term or a sum that is not finite in double precision is rejected.
     """
     text = expr.replace(" ", "")
     if text in ("zero", ""):
@@ -165,8 +180,8 @@ def potential_from_expression(expr: str, basis: SpectralBasis) -> ChemicalPotent
     coeffs = np.zeros(basis.D)
     # split on term-level signs only, not on exponent signs as in 1e-2
     pieces = [p for p in re.split(rf"(?<![eE*(])(?=[+-])", text) if p]
-    for piece in pieces:
-        sign = 1.0
+    for term in pieces:
+        piece, sign = term, 1.0
         if piece[0] in "+-":
             sign = -1.0 if piece[0] == "-" else 1.0
             piece = piece[1:]
@@ -176,16 +191,20 @@ def potential_from_expression(expr: str, basis: SpectralBasis) -> ChemicalPotent
                 f"cannot parse term {piece!r} in {expr!r}; allowed terms are c, "
                 f"c*cos(2*pi*k*x) and c*sin(2*pi*k*x)")
         c = sign * (float(m.group("coeff")) if m.group("coeff") is not None else 1.0)
-        if m.group("trig") is None:
-            coeffs[0] += c
-            continue
-        k = int(m.group("k")) if m.group("k") else 1
-        if k < 1 or k > basis.M:
-            raise PotentialExprError(
-                f"wavenumber {k} outside the basis (1..{basis.M}); raise --modes")
-        idx = 2 * k - 1 if m.group("fn") == "cos" else 2 * k
-        coeffs[idx] += c / np.sqrt(2.0)  # against the orthonormal basis
-    return ChemicalPotential(basis, coeffs)
+        if not np.isfinite(c):
+            raise PotentialExprError(f"term {term!r} in {expr!r} is not finite "
+                                     f"in double precision")
+        idx = 0
+        if m.group("trig") is not None:
+            k = int(m.group("k")) if m.group("k") else 1
+            if k < 1 or k > basis.M:
+                raise PotentialExprError(
+                    f"wavenumber {k} outside the basis (1..{basis.M}); raise --modes")
+            idx = 2 * k - 1 if m.group("fn") == "cos" else 2 * k
+            c /= np.sqrt(2.0)  # against the orthonormal basis
+        with np.errstate(over="ignore"):  # a sum that overflows is rejected below
+            coeffs[idx] += c
+    return _finite_potential(basis, coeffs, f"potential {expr!r}")
 
 
 def parse_potential(arg: str, basis: SpectralBasis) -> ChemicalPotential:
@@ -193,7 +212,9 @@ def parse_potential(arg: str, basis: SpectralBasis) -> ChemicalPotential:
     from the restricted expression grammar."""
     if os.path.exists(arg):
         values = _read_uniform_csv(arg, "x,a", positive=False)
-        return ChemicalPotential.from_grid(basis, _resample(values, basis.N))
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            coeffs = basis.project(_resample(values, basis.N))
+        return _finite_potential(basis, coeffs, f"potential file {arg}")
     return potential_from_expression(arg, basis)
 
 
@@ -333,27 +354,25 @@ def _cmd_solve(args) -> int:
     basis = build_basis(args.modes, args.grid)
     n = parse_density_csv(args.density, basis)
     opts = SolverOptions(tol_l2=args.tol, max_iter=args.max_iter)
-    failure, inequalities = None, []
+    failure, inequalities, code = None, [], EXIT_OK
     try:
         A, rho, report = solve_maxwellian(n, opts)
-        achieved, code = density_of(rho), EXIT_OK
     except (MaxIterExceeded, BasisTooSmall) as exc:
         log.error("%s", exc)
         failure, A, report = exc, exc.potential, exc.report
         code = EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
-        achieved = fn.GibbsState(A).density
     if failure is None and args.command == "verify":
         inequalities = run_inequality_suite(basis, A, rho, n, opts, args.samples,
                                             args.seed)
         if not all(r.holds for r in inequalities if not r.diagnostic):
             code = 1
-    payload = build_report_dict(basis, opts, report, A, achieved, inequalities)
+    payload = build_report_dict(basis, opts, report, A, report.density, inequalities)
     if isinstance(failure, BasisTooSmall):
         payload["result"]["suggested_modes"] = failure.suggested_modes
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_report(payload))
     if args.density_out:
-        write_density_csv(args.density_out, basis, achieved)
+        write_density_csv(args.density_out, basis, report.density)
     return code
 
 
@@ -402,7 +421,7 @@ def cli_dispatch(argv) -> int:
                "verify": _cmd_solve, "sweep-epsilon": _cmd_sweep}[args.command]
     try:
         return handler(args)
-    except (QMaxwellError, ValueError) as exc:
+    except (QMaxwellError, ValueError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -36,7 +36,9 @@ state of the maximizer A_eps of the strictly concave dual
 J_eps(A) = J(A) - (eps/2)||A||_L2^2, and the same Newton ascent serves
 both duals: at eps > 0 it stops on the in-basis defect
 ||a - P(n[rho] - n)/eps||, once that is within tol_l2 or within its
-rounding scale u ||n||_2 / eps, whichever is larger.
+rounding scale u ||n||_2 / eps, whichever is larger, and never on a
+non-finite defect.  An iterate is a GibbsState, which keeps its n, eps and
+gradient norm; the report keeps its density, which residual_l2 measures.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ class SolveReport:
     duality_gap: float
     el_residual: float
     history: list = field(default_factory=list)
+    density: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def _evaluate(n: DensityProfile, a, eps: float) -> GibbsState:
@@ -176,20 +179,19 @@ def _residual_split(state: GibbsState):
     """(in-basis, out-of-basis) L2 norms of n[rho] - n at eps = 0, split by
     Parseval: the basis is orthonormal and the quadrature exact.  An
     overflowed residual reads inf outside, not the NaN of inf - inf."""
-    with np.errstate(over="ignore"):  # an overflowed norm reads inf
-        inside = float(np.linalg.norm(state.grad_coeffs))
+    inside = state.grad_norm
     if state.residual_l2 == np.inf:
         return inside, np.inf
     return inside, float(np.sqrt(max(state.residual_l2**2 - inside**2, 0.0)))
 
 
-def _stopping_measure(state: GibbsState, eps: float) -> float:
+def _stopping_measure(state: GibbsState) -> float:
     """The stopping measure: the L2 residual ||n[rho] - n|| at eps = 0; for
     eps > 0 the in-basis defect ||a - P(n[rho] - n)/eps|| = ||grad J_eps|| / eps.
     The out-of-basis part (1/eps)(I - P)(n[rho] - n) of the grid defect is
     Galerkin truncation, which no potential in the basis can change."""
-    if eps > 0.0:
-        return float(np.linalg.norm(state.grad_coeffs)) / eps
+    if state.eps > 0.0:
+        return state.grad_norm / state.eps
     return state.residual_l2
 
 
@@ -203,9 +205,9 @@ def _rounding_scale(n: DensityProfile, eps: float) -> float:
         return np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
 
 
-def _ascent_direction(state: GibbsState, eps: float = 0.0):
-    """(d, slope): the Newton direction on J_eps and its slope g.d, g =
-    ``state.grad_coeffs``.  d solves S d = g for the Newton matrix
+def _ascent_direction(state: GibbsState):
+    """(d, slope): the Newton direction on the state's J_eps and its slope
+    g.d, g = ``state.grad_coeffs``.  d solves S d = g for the Newton matrix
     S = -Hess J_eps + NEWTON_SHIFT I = -Hess J + (NEWTON_SHIFT + eps) I by
     one LU solve, once S is finite and its Cholesky factorization shows it
     positive definite (that test alone lets a NaN entry through).  The
@@ -213,7 +215,7 @@ def _ascent_direction(state: GibbsState, eps: float = 0.0):
     the slope is not positive."""
     g = state.grad_coeffs
     S = -_hessian_from_spectrum(state)
-    S.flat[::S.shape[0] + 1] += NEWTON_SHIFT + eps
+    S.flat[::S.shape[0] + 1] += NEWTON_SHIFT + state.eps
     try:
         if not np.all(np.isfinite(S)):
             raise np.linalg.LinAlgError("Newton matrix is not finite")
@@ -251,15 +253,16 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initi
     state = _cold_start(n, eps) if initial is None else _evaluate(n, initial, eps)
     history = []
     for iteration in range(opts.max_iter):
-        measure = _stopping_measure(state, eps)
-        converged = measure <= tol
+        measure = _stopping_measure(state)
+        # an overflowed measure never converges, even against an inf scale
+        converged = measure < np.inf and measure <= tol
         if converged and measure <= scale:
             return state, history
-        d, slope = _ascent_direction(state, eps)
+        d, slope = _ascent_direction(state)
         alpha = 1.0
         trial = _evaluate(n, state.potential.coefficients + d, eps)
         if converged:
-            if _stopping_measure(trial, eps) < measure - scale:
+            if _stopping_measure(trial) < measure - scale:
                 state = trial
                 history.append(HistoryEntry(residual=state.residual_l2, step_size=1.0,
                                             objective=state.objective))
@@ -271,9 +274,7 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initi
         # nothing: the full step is judged by the gradient the dual controls,
         # and a full step that cannot shrink it marks the dual's rounding floor
         unresolved = ARMIJO_C * slope <= fp_slack
-        with np.errstate(over="ignore"):  # an overflowed norm reads inf
-            g_norm = np.linalg.norm(state.grad_coeffs)
-            full_step = unresolved and np.linalg.norm(trial.grad_coeffs) < g_norm
+        full_step = unresolved and trial.grad_norm < state.grad_norm
         if unresolved and not full_step and eps == 0.0:
             inside, outside = _residual_split(state)
             if inside <= opts.tol_l2 < outside:
@@ -288,7 +289,7 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initi
                     f"in-basis residual at its rounding floor {inside:.3e} while "
                     f"{outside:.3e} lies beyond wavenumber {basis.M}; {advice}",
                     suggested_modes=modes,
-                    report=_solution(state, history, n)[1],
+                    report=_solution(state, history)[1],
                     potential=state.potential)
         while not (full_step or _rises_by(trial, state, ARMIJO_C * alpha * slope - fp_slack)):
             alpha *= ARMIJO_SHRINK
@@ -301,8 +302,8 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initi
                                     objective=state.objective))
         log.debug("iter %d: residual %.3e, step %.3e, J %.12g",
                   iteration + 1, state.residual_l2, alpha, state.objective)
-    error = _stopping_measure(state, eps)
-    if error <= tol:
+    error = _stopping_measure(state)
+    if error < np.inf and error <= tol:
         return state, history
     what = f"penalized (epsilon={eps:g}) in-basis defect" if eps > 0.0 else "residual"
     where = "" if eps > 0.0 else (
@@ -310,14 +311,14 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initi
     raise MaxIterExceeded(
         f"{what} {error:.3e} above tolerance {tol:.1e} "
         f"after {opts.max_iter} iterations{where}",
-        report=_solution(state, history, n, eps)[1], potential=state.potential)
+        report=_solution(state, history)[1], potential=state.potential)
 
 
-def _solution(state: GibbsState, history, n: DensityProfile, eps: float = 0.0):
+def _solution(state: GibbsState, history):
     """(rho, report) of the iterate ``state``, with the primal/dual pair
     (F, J), or (F_eps, J_eps) for eps > 0, which agree at the optimum."""
-    rho = DensityOperator(n.basis, state.matrix)
-    f = penalized_free_energy(rho, n, eps) if eps > 0.0 else free_energy(rho)
+    rho, eps = DensityOperator(state.potential.basis, state.matrix), state.eps
+    f = penalized_free_energy(rho, state.target, eps) if eps > 0.0 else free_energy(rho)
     report = SolveReport(
         iterations=len(history),
         residual_l2=state.residual_l2,
@@ -327,6 +328,7 @@ def _solution(state: GibbsState, history, n: DensityProfile, eps: float = 0.0):
         duality_gap=f.total - state.objective,
         el_residual=euler_lagrange_residual(rho, state.potential),
         history=history,
+        density=state.density,
     )
     return rho, report
 
@@ -340,7 +342,7 @@ def solve_maxwellian(n: DensityProfile, opts: SolverOptions | None = None):
     or BasisTooSmall carrying the last iterate's report and potential.
     """
     state, history = _dual_ascent(n, opts or SolverOptions())
-    rho, report = _solution(state, history, n)
+    rho, report = _solution(state, history)
     return state.potential, rho, report
 
 
@@ -364,7 +366,7 @@ def solve_penalized(n: DensityProfile, epsilon: float, *,
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     state, history = _dual_ascent(n, opts or SolverOptions(), epsilon, initial)
-    rho, report = _solution(state, history, n, epsilon)
+    rho, report = _solution(state, history)
     return rho, state.potential, report
 
 

@@ -83,15 +83,16 @@ def _eval_functions(M, x):
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Fourier basis truncated at wavenumber ``M`` with an N-point grid."""
+    """Fourier basis truncated at wavenumber ``M`` with an N-point grid;
+    bases compare (and hash) by (M, N), which fix every array."""
 
     M: int
     N: int
-    grid: np.ndarray
-    h_eigenvalues: np.ndarray
-    functions: np.ndarray = field(repr=False)  # (D, N) values e_p(x_j)
+    grid: np.ndarray = field(compare=False)
+    h_eigenvalues: np.ndarray = field(compare=False)
+    functions: np.ndarray = field(repr=False, compare=False)  # (D, N) values e_p(x_j)
     # (D, 3M+1) values of e_p on the 3M+1-point product grid
-    product_functions: np.ndarray = field(repr=False)
+    product_functions: np.ndarray = field(repr=False, compare=False)
 
     @property
     def D(self) -> int:
@@ -142,7 +143,7 @@ def build_basis(M: int, N: int | None = None) -> SpectralBasis:
 
 
 def _check_same_basis(a: SpectralBasis, b: SpectralBasis):
-    if a.M != b.M or a.N != b.N:
+    if a != b:
         raise BasisMismatch(f"bases differ: (M={a.M}, N={a.N}) vs (M={b.M}, N={b.N})")
 
 
@@ -195,7 +196,7 @@ def _checked_spectra(matrices) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: == on arrays is ambiguous
 class DensityOperator:
     """PSD symmetric coefficient matrix rho_pq = (e_p, rho e_q); ``eigenvalues``
     (ascending) is the spectrum the constructor's PSD check computed."""
@@ -238,7 +239,7 @@ class DensityOperator:
         return float(np.trace(self.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityProfile:
     """Strictly positive periodic density samples on the basis grid."""
 
@@ -265,7 +266,7 @@ class DensityProfile:
         return self.basis.quadrature(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChemicalPotential:
     """Real periodic potential stored as D Fourier coefficients."""
 

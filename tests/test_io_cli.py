@@ -376,6 +376,72 @@ def test_cli_solve_basis_too_small_writes_report(tmp_path):
     assert verified["potential"] == payload["potential"]
 
 
+@pytest.mark.parametrize("grid", [17, 64])
+def test_cli_grid_option(tmp_path, grid):
+    # --grid sets N for forward and solve alike; 17 = 4M+1 is the smallest
+    # grid at M = 4, and odd
+    density, report = tmp_path / "n.csv", tmp_path / "r.json"
+    common = ["--modes", "4", "--grid", str(grid)]
+    assert run_cli("forward", "--potential", "cos(2*pi*x)", *common, "--out", str(density)) == 0
+    assert len(density.read_text().splitlines()) == grid + 1
+    assert run_cli("solve", "--density", str(density), *common, "--out", str(report)) == 0
+    payload = json.loads(report.read_text())
+    assert payload["meta"]["grid"] == grid
+    assert len(payload["density_achieved"]["values"]) == grid
+
+
+def test_cli_solve_success_writes_the_density_its_residual_measures(tmp_path):
+    # residual_l2 is measured on the solve's own Gibbs density: the density
+    # written is that one, bit for bit, not n[rho] recomputed from the
+    # composed matrix, which differs from it in the last bits
+    density, report = tmp_path / "rt.csv", tmp_path / "rt.json"
+    basis = qm.build_basis(8)
+    for potential in ("cos(2*pi*x)+0.3*sin(2*pi*2*x)", "0.5*cos(2*pi*x)-0.7*sin(2*pi*3*x)"):
+        assert run_cli("forward", "--potential", potential, "--modes", "8",
+                       "--out", str(density)) == 0
+        assert run_cli("solve", "--density", str(density), "--modes", "8",
+                       "--out", str(report)) == 0
+        payload = json.loads(report.read_text())
+        achieved = np.array(payload["density_achieved"]["values"])
+        n = io_cli.parse_density_csv(density, basis)
+        residual = float(np.sqrt(basis.quadrature((achieved - n.values) ** 2)))
+        assert payload["result"]["residual_l2"] == residual
+
+
+def test_cli_solve_failure_writes_the_reports_density_without_a_decomposition(
+        tmp_path, monkeypatch):
+    # the report of a failed solve carries its iterate's density; the CLI
+    # writes it as it is instead of decomposing H + A once more
+    density = tmp_path / "n.csv"
+    assert run_cli("forward", "--potential", "50*cos(2*pi*2*x)", "--modes", "4",
+                   "--out", str(density)) == 0
+    basis = qm.build_basis(4)
+    with pytest.raises(MaxIterExceeded) as info:
+        qm.solve_maxwellian(io_cli.parse_density_csv(density, basis),
+                            qm.SolverOptions(max_iter=1))
+
+    def failed_solve(n, opts):
+        raise info.value
+
+    eigh, calls = np.linalg.eigh, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(io_cli, "solve_maxwellian", failed_solve)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    assert run_cli("solve", "--density", str(density), "--modes", "4",
+                   "--out", str(tmp_path / "r.json"),
+                   "--density-out", str(tmp_path / "achieved.csv")) == 2
+    assert calls == []
+    payload = json.loads((tmp_path / "r.json").read_text())
+    expected = info.value.report.density
+    assert payload["density_achieved"]["values"] == expected.tolist()
+    written = io_cli.parse_density_csv(tmp_path / "achieved.csv", basis)
+    assert np.array_equal(written.values, expected)
+
+
 def test_cli_verify_deterministic(tmp_path):
     density = tmp_path / "roundtrip.csv"
     assert run_cli("forward", "--potential", "0.8*cos(2*pi*x)", "--modes", "6",
@@ -542,6 +608,52 @@ def test_cli_input_errors(tmp_path, capsys):
                        "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "line 10" in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("command", ["forward", "solve", "density-out", "verify",
+                                     "sweep-epsilon"])
+def test_cli_unwritable_output_exits_3(tmp_path, capsys, command):
+    # an output in a missing directory is invalid input: exit 3 and a
+    # one-line error, not exit 1 (a failed inequality) with a traceback
+    density = tmp_path / "n.csv"
+    write_density(density, np.ones(32))
+    missing = str(tmp_path / "missing" / "out")
+    source = ["--density", str(density), "--modes", "4"]
+    argv = {
+        "forward": ["forward", "--potential", "zero", "--modes", "4", "--out", missing],
+        "solve": ["solve", *source, "--out", missing],
+        "density-out": ["solve", *source, "--out", str(tmp_path / "r.json"),
+                        "--density-out", missing],
+        "verify": ["verify", *source, "--samples", "2", "--out", missing],
+        "sweep-epsilon": ["sweep-epsilon", *source, "--schedule", "1", "--out", missing],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing" in err
+
+
+def test_cli_non_finite_potential_exits_3(tmp_path, capsys):
+    # a coefficient that overflows read as nan, a sum that overflows as an
+    # eigenvalue -inf, and under error::RuntimeWarning a constant sum or a
+    # file of +-1e308 died with a traceback; each is rejected where it is
+    # read, naming the term, the expression or the file
+    path = tmp_path / "huge.csv"
+    path.write_text("x,a\n" + "".join(f"{j / 32!r},{(-1) ** j * 1e308!r}\n"
+                                         for j in range(32)))
+    for potential, named in (("1e400", "term '1e400'"),
+                             ("1e308*cos(2*pi*x)+1e308*cos(2*pi*x)", "potential '1e308"),
+                             ("1e308+1e308", "potential '1e308+1e308'"),
+                             (str(path), f"potential file {path}")):
+        capsys.readouterr()
+        assert run_cli("forward", "--potential", potential, "--modes", "4",
+                       "--out", str(tmp_path / "n.csv")) == 3
+        err = capsys.readouterr().err
+        assert named in err and "not finite" in err, err
+    assert not (tmp_path / "n.csv").exists()
+    with pytest.raises(PotentialExprError):
+        io_cli.potential_from_expression("1e400", qm.build_basis(4))
 
 
 def test_cli_bad_schedule_is_a_value_error(tmp_path, capsys):

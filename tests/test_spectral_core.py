@@ -133,6 +133,25 @@ def test_assemble_rejects_mismatched_basis(b3):
         qm.assemble_hamiltonian_plus_potential(b3, A)
 
 
+
+def test_value_types_compare_without_array_truth_values(b3):
+    # == compared the bases' arrays and raised "truth value of an array is
+    # ambiguous"; a basis is fixed by (M, N), and the array holders compare
+    # by identity
+    assert qm.build_basis(2) == qm.build_basis(2, 16)
+    assert hash(qm.build_basis(2)) == hash(qm.build_basis(2, 16))
+    assert qm.build_basis(2) != qm.build_basis(2, 12)
+    assert qm.build_basis(2) != b3
+    A = qm.ChemicalPotential.constant(b3, 0.5)
+    n = qm.DensityProfile(b3, np.ones(b3.N))
+    rho = qm.gibbs_from_potential(b3, A)
+    for value, twin in ((A, qm.ChemicalPotential.constant(b3, 0.5)),
+                        (n, qm.DensityProfile(b3, np.ones(b3.N))),
+                        (rho, qm.gibbs_from_potential(b3, A))):
+        assert value == value
+        assert value != twin
+
+
 # ---------------------------------------------------------------------------
 # eigendecomposition
 
