@@ -156,13 +156,18 @@ class GibbsState:
 
 def gibbs_from_potential(basis: SpectralBasis, A: ChemicalPotential) -> DensityOperator:
     """rho = exp(-(H+A)) from the eigenpairs (exp(-lam), V) of H + A, decomposed
-    once; ValueError when exp(-lam) overflows (lam < -709.78)."""
+    once; ValueError when exp(-lam) overflows (lam < -709.78) or underflows
+    to 0 on every state (lam above about 745)."""
     _check_same_basis(basis, A.basis)
     state = GibbsState(A)
     if not np.all(np.isfinite(state.weights)):
         raise ValueError(
             f"exp(-(H+A)) would overflow: the smallest eigenvalue of H+A is "
             f"{state.lam[0]:.6g}, below the overflow limit {EXP_OVERFLOW_LIMIT:.6g}")
+    if state.weights[0] == 0.0:
+        raise ValueError(
+            f"exp(-(H+A)) underflows to 0 on every state: the smallest eigenvalue "
+            f"of H+A is {state.lam[0]:.6g}, above the underflow limit of about 745")
     return DensityOperator.from_eigenpairs(basis, state.weights, state.V)
 
 

@@ -1,7 +1,8 @@
 """CSV/JSON serialization and the ``qmaxwell`` command-line surface.
 
 Density profiles travel as CSV with header ``x,n`` on a uniform periodic
-grid that excludes x = 1, with finite fields; solver output is a JSON
+grid that excludes x = 1, with finite fields, and are read on that grid or
+a finer one, never a coarser one; solver output is a JSON
 report that round-trips losslessly (floats are written at full round-trip
 precision).  Exit codes: 0 success, 1 a failed ``verify`` inequality, 2
 iteration budget exhausted, 3 invalid input (including a mode cutoff too
@@ -130,12 +131,24 @@ def _resample(values, N):
 
 
 def parse_density_csv(path, basis: SpectralBasis) -> DensityProfile:
-    """Load a density CSV and trigonometrically resample it to the basis grid."""
+    """Load a density CSV and trigonometrically upsample it to the basis grid;
+    DensityFileError when it has more rows than the grid has points."""
+    return _read_density(path, basis.M, basis)
+
+
+def _read_density(path, M: int, basis: SpectralBasis | None = None) -> DensityProfile:
+    """The density file on ``basis``, by default the cutoff-M basis on the
+    default grid or, when the file has more rows, on the file's own grid."""
     values = _read_uniform_csv(path, "x,n", positive=True)
+    if basis is None:
+        basis = build_basis(M)
+        basis = basis if values.size <= basis.N else build_basis(M, values.size)
     if values.size < 4 * basis.M + 1:
-        raise DensityFileError(
-            f"{path}: {values.size} rows cannot resolve M={basis.M} "
-            f"(need at least {4 * basis.M + 1})")
+        raise DensityFileError(f"{path}: {values.size} rows cannot resolve M={basis.M} "
+                               f"(need at least {4 * basis.M + 1})")
+    if values.size > basis.N:
+        raise DensityFileError(f"{path}: {values.size} rows would lose their content "
+                               f"above wavenumber {basis.N // 2} on the {basis.N}-point grid")
     resampled = _resample(values, basis.N)
     if np.min(resampled) <= 0.0:
         raise NonPositiveDensity(
@@ -298,7 +311,6 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--modes", type=int, required=True, metavar="M")
-        p.add_argument("--grid", type=int, default=None, metavar="N")
 
     p_fwd = sub.add_parser("forward", help="density of exp(-(H+A))")
     common(p_fwd)
@@ -342,17 +354,16 @@ def _configure_logging():
 
 
 def _cmd_forward(args) -> int:
-    basis = build_basis(args.modes, args.grid)
+    basis = build_basis(args.modes)
     A = parse_potential(args.potential, basis)
-    n = density_of(fn.gibbs_from_potential(basis, A))
-    write_density_csv(args.out, basis, n)
+    n = DensityProfile(basis, density_of(fn.gibbs_from_potential(basis, A)))
+    write_density_csv(args.out, basis, n.values)
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
     """``solve``, and ``verify``: the inequality suite runs once the solve converges."""
-    basis = build_basis(args.modes, args.grid)
-    n = parse_density_csv(args.density, basis)
+    n = _read_density(args.density, args.modes)
     opts = SolverOptions(tol_l2=args.tol, max_iter=args.max_iter)
     failure, inequalities, code = None, [], EXIT_OK
     try:
@@ -362,23 +373,22 @@ def _cmd_solve(args) -> int:
         failure, A, report = exc, exc.potential, exc.report
         code = EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
     if failure is None and args.command == "verify":
-        inequalities = run_inequality_suite(basis, A, rho, n, opts, args.samples,
+        inequalities = run_inequality_suite(n.basis, A, rho, n, opts, args.samples,
                                             args.seed)
         if not all(r.holds for r in inequalities if not r.diagnostic):
             code = 1
-    payload = build_report_dict(basis, opts, report, A, report.density, inequalities)
+    payload = build_report_dict(n.basis, opts, report, A, report.density, inequalities)
     if isinstance(failure, BasisTooSmall):
         payload["result"]["suggested_modes"] = failure.suggested_modes
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_report(payload))
     if args.density_out:
-        write_density_csv(args.density_out, basis, report.density)
+        write_density_csv(args.density_out, n.basis, report.density)
     return code
 
 
 def _cmd_sweep(args) -> int:
-    basis = build_basis(args.modes, args.grid)
-    n = parse_density_csv(args.density, basis)
+    n = _read_density(args.density, args.modes)
     kwargs = {"tol_l2": args.tol}
     if args.schedule:
         try:

@@ -308,6 +308,8 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initi
     what = f"penalized (epsilon={eps:g}) in-basis defect" if eps > 0.0 else "residual"
     where = "" if eps > 0.0 else (
         f"; {_residual_split(state)[1]:.3e} of it lies beyond wavenumber {basis.M}")
+    if tol == np.inf:  # eps > 0 only: print tol_l2, not the overflowed scale
+        tol, where = opts.tol_l2, "; its rounding scale u ||n||_2 / epsilon overflowed"
     raise MaxIterExceeded(
         f"{what} {error:.3e} above tolerance {tol:.1e} "
         f"after {opts.max_iter} iterations{where}",
@@ -409,11 +411,13 @@ def _sweep_rows(n: DensityProfile, opts: SolverOptions):
 def euler_lagrange_residual(rho: DensityOperator, A: ChemicalPotential) -> float:
     """J2 norm of sqrt(rho)(log rho + H + A) sqrt(rho).
 
-    Vanishes (to rounding) whenever rho = exp(-(H+A)) for the same A.
-    Reads ``rho.eigenpairs``: a spectrum negative beyond the PSD tolerance
-    raises NotPositiveSemidefinite, and eigenvalues that underflow to zero
-    enter through their continuous limit s log(s) -> 0.  A norm that
-    overflows reads inf.
+    Vanishes (to rounding) whenever rho = exp(-(H+A)) for the same A.  On a
+    Gibbs state built from the eigenpairs (lam, V) of K = H + A, such as
+    gibbs_from_potential's, V^T K V is diag(lam) plus rounding: the residual
+    then checks the eigensolver, not the solve.  Reads ``rho.eigenpairs``: a
+    spectrum negative beyond the PSD tolerance raises NotPositiveSemidefinite,
+    and eigenvalues that underflow to zero enter through their continuous
+    limit s log(s) -> 0.  A norm that overflows reads inf.
     """
     lam, V = rho.eigenpairs
     K = assemble_hamiltonian_plus_potential(rho.basis, A)

@@ -23,7 +23,8 @@ state exp(-(H+A)) built from that matrix lives in :mod:`qmaxwell.functionals`.
 :class:`DensityOperator` is the one place that decomposes and checks a
 density operator: finite, symmetric and PSD at construction, keeping that
 check's ``eigvalsh`` spectrum, and ``eigenpairs`` (one ``eigh``) on demand;
-``from_eigenpairs`` composes one from a known spectrum and decomposes nothing.
+``from_eigenpairs`` composes one from known eigenpairs, keeps them as its
+``eigenpairs`` and decomposes nothing.
 """
 
 from __future__ import annotations
@@ -215,21 +216,25 @@ class DensityOperator:
 
     @classmethod
     def from_eigenpairs(cls, basis: SpectralBasis, eigenvalues, eigenvectors) -> "DensityOperator":
-        """V diag(w) V^T, with ``eigenvalues`` sort(w) and no decomposition; V must
-        be a D x D frame orthogonal within ORTHOGONALITY_TOL, w finite and >= 0."""
+        """V diag(w) V^T, with no decomposition: ``eigenvalues`` is sort(w), and
+        ``eigenpairs`` these pairs in that order.  V must be a D x D frame
+        orthogonal within ORTHOGONALITY_TOL, w finite and >= 0."""
         w, V = np.asarray(eigenvalues, dtype=float), np.asarray(eigenvectors, dtype=float)
         if not (w.shape == (basis.D,) and V.shape == (basis.D, basis.D)
                 and np.all((w >= 0.0) & (w < np.inf))):
             raise ValueError(f"need {basis.D} eigenvalues, finite and >= 0, and a "
                              f"{basis.D} x {basis.D} frame; got shapes {w.shape}, {V.shape}")
         _check_orthogonal(V[None], "eigenvector frame")
+        order = np.argsort(w, kind="stable")
         rho = object.__new__(cls)  # skips __post_init__, which decomposes the matrix
-        rho.__dict__.update(basis=basis, matrix=_compose(V, w), eigenvalues=np.sort(w))
+        rho.__dict__.update(basis=basis, matrix=_compose(V, w), eigenvalues=w[order],
+                            eigenpairs=(w[order], V[:, order]))
         return rho
 
     @functools.cached_property
     def eigenpairs(self):
-        """(lam, V) of one ``eigh``, PSD-checked, lam clamped at 0; computed on first use."""
+        """(lam, V), lam ascending and clamped at 0: the pairs from_eigenpairs was
+        given, or one PSD-checked ``eigh`` on first use."""
         lam, V = np.linalg.eigh(self.matrix)
         _check_psd(lam[None], self.matrix[None])
         return np.maximum(lam, 0.0), V

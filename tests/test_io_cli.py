@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qmaxwell as qm
@@ -69,16 +71,64 @@ def test_density_csv_exact_roundtrip(tmp_path, b4):
 
 
 def test_density_resampling_preserves_mass(tmp_path):
-    # 64 rows down to 34 points, and 17 rows up to 32
-    for rows, basis in ((64, qm.build_basis(8, 34)), (17, qm.build_basis(4))):
+    # 17 rows up to 32 points; 64 rows are never read down to 34 points,
+    # which would drop the file's content above wavenumber 17
+    for rows in (17, 64):
         x = np.arange(rows) / rows
-        path = tmp_path / f"wave{rows}.csv"
-        write_density(path, 1.0 + 0.5 * np.cos(2 * np.pi * x))
-        profile = io_cli.parse_density_csv(path, basis)
-        assert profile.values.size == basis.N
-        assert abs(profile.mass - 1.0) <= 1e-12
-        expected = 1.0 + 0.5 * np.cos(2 * np.pi * basis.grid)
-        assert_allclose(profile.values, expected, atol=1e-12)
+        write_density(tmp_path / f"wave{rows}.csv", 1.0 + 0.5 * np.cos(2 * np.pi * x))
+    basis = qm.build_basis(4)
+    profile = io_cli.parse_density_csv(tmp_path / "wave17.csv", basis)
+    assert profile.values.size == basis.N
+    assert abs(profile.mass - 1.0) <= 1e-12
+    expected = 1.0 + 0.5 * np.cos(2 * np.pi * basis.grid)
+    assert_allclose(profile.values, expected, atol=1e-12)
+    with pytest.raises(DensityFileError, match="64 rows .* 34-point grid"):
+        io_cli.parse_density_csv(tmp_path / "wave64.csv", qm.build_basis(8, 34))
+
+
+@st.composite
+def band_limited_files(draw):
+    """(M, rows, values, coarser): a positive density of wavenumber <= rows/2
+    sampled on rows >= 4M+1 points, and a basis grid of fewer points than
+    rows (None when rows = 4M+1, the coarsest grid at M)."""
+    M = draw(st.integers(1, 16))
+    rows = draw(st.integers(4 * M + 1, 512))
+    kmax = draw(st.integers(1, rows // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.standard_normal((2, kmax))
+    c0 = draw(st.floats(1e-3, 1e3))
+    scale = 0.9 * c0 / (np.sum(np.abs(a)) + np.sum(np.abs(b)))
+    theta = 2 * np.pi * np.outer(np.arange(rows) / rows, np.arange(1, kmax + 1))
+    values = c0 + scale * (np.cos(theta) @ a + np.sin(theta) @ b)
+    coarser = draw(st.integers(4 * M + 1, rows - 1)) if rows > 4 * M + 1 else None
+    return M, rows, values, coarser
+
+
+@given(band_limited_files())
+@settings(max_examples=40, deadline=None)
+def test_density_file_is_read_on_its_own_grid(tmp_path_factory, case):
+    # the CLI reads a file on the default grid or on its own, whichever is
+    # finer: at or above the default grid the profile is the file, bit for
+    # bit; below it, the file's trigonometric interpolant, as before
+    M, rows, values, coarser = case
+    path = tmp_path_factory.mktemp("grid") / "n.csv"
+    write_density(path, values)
+    profile = io_cli._read_density(path, M)
+    default = qm.build_basis(M)
+    if rows >= default.N:
+        assert profile.basis.N == rows
+        assert np.array_equal(profile.values, values)
+    else:
+        assert profile.basis.N == default.N
+        assert np.array_equal(profile.values, io_cli.parse_density_csv(path, default).values)
+        expected = np.fft.rfft(values) / rows
+        got = np.fft.rfft(profile.values)[: rows // 2 + 1] / default.N
+        if rows % 2 == 0:
+            got[-1] *= 2.0  # the file's Nyquist term splits between +-rows/2
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(values)
+    if coarser is not None:
+        with pytest.raises(DensityFileError, match=rf"{rows} rows .* {coarser}-point grid"):
+            io_cli.parse_density_csv(path, qm.build_basis(M, coarser))
 
 
 def test_resample_matches_scipy_reference():
@@ -265,6 +315,36 @@ def test_cli_forward_zero_potential(tmp_path):
     assert np.max(np.abs(profile.values - 1.0)) <= 1e-15
 
 
+def test_cli_forward_rejects_a_density_that_underflows(tmp_path, capsys):
+    # every weight exp(-lam) of this potential underflows to 0, and forward
+    # wrote n = 0.0 on every row, a file that solve rejects
+    out = tmp_path / "n.csv"
+    capsys.readouterr()
+    assert run_cli("forward", "--modes", "4", "--potential", "800", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "smallest eigenvalue of H+A is 800" in err
+    assert not out.exists()
+
+
+def test_cli_reads_a_fine_density_on_its_own_grid(tmp_path):
+    # read on the default 64-point grid at M = 8, this file lost its
+    # wavenumber-40 term, and all three commands exited 0 at its start
+    density = tmp_path / "n256.csv"
+    write_density(density, 1.0 + 0.05 * np.cos(80 * np.pi * np.arange(256) / 256))
+    for command in ("solve", "verify"):
+        out = tmp_path / f"{command}.json"
+        assert run_cli(command, "--density", str(density), "--modes", "8",
+                       "--out", str(out)) == 3
+        payload = json.loads(out.read_text())
+        assert payload["meta"]["grid"] == 256
+        assert payload["result"]["suggested_modes"] == 40
+    sweep = tmp_path / "sweep.csv"
+    assert run_cli("sweep-epsilon", "--density", str(density), "--modes", "8",
+                   "--out", str(sweep)) == 3
+    assert sweep.read_text() == "epsilon,residual_l2,F_eps,A_dist_hminus1\n"
+
+
 def test_cli_solve_constant_density(tmp_path):
     density = tmp_path / "const2.csv"
     write_density(density, np.full(32, 2.0))
@@ -357,7 +437,7 @@ def test_cli_solve_basis_too_small_writes_report(tmp_path):
     assert code == 3
     # the report holds the last iterate and the cutoff the library suggests
     payload = json.loads((tmp_path / "r.json").read_text())
-    basis = qm.build_basis(1)
+    basis = qm.build_basis(1, 64)  # the file's own grid
     with pytest.raises(BasisTooSmall) as info:
         qm.solve_maxwellian(io_cli.parse_density_csv(density, basis))
     assert payload["result"]["suggested_modes"] == info.value.suggested_modes >= 3
@@ -376,18 +456,18 @@ def test_cli_solve_basis_too_small_writes_report(tmp_path):
     assert verified["potential"] == payload["potential"]
 
 
-@pytest.mark.parametrize("grid", [17, 64])
-def test_cli_grid_option(tmp_path, grid):
-    # --grid sets N for forward and solve alike; 17 = 4M+1 is the smallest
-    # grid at M = 4, and odd
-    density, report = tmp_path / "n.csv", tmp_path / "r.json"
-    common = ["--modes", "4", "--grid", str(grid)]
-    assert run_cli("forward", "--potential", "cos(2*pi*x)", *common, "--out", str(density)) == 0
-    assert len(density.read_text().splitlines()) == grid + 1
-    assert run_cli("solve", "--density", str(density), *common, "--out", str(report)) == 0
-    payload = json.loads(report.read_text())
-    assert payload["meta"]["grid"] == grid
-    assert len(payload["density_achieved"]["values"]) == grid
+def test_cli_grid_is_a_usage_error(tmp_path, capsys):
+    # a density file is read on its own grid, so no command takes --grid
+    density = tmp_path / "n.csv"
+    assert run_cli("forward", "--potential", "cos(2*pi*x)", "--modes", "4",
+                   "--out", str(density)) == 0
+    out = str(tmp_path / "out")
+    for argv in (("forward", "--potential", "zero"), ("solve", "--density", str(density)),
+                 ("verify", "--density", str(density)),
+                 ("sweep-epsilon", "--density", str(density))):
+        assert run_cli(*argv, "--modes", "4", "--grid", "64", "--out", out) == 64
+        assert "--grid" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_cli_solve_success_writes_the_density_its_residual_measures(tmp_path):

@@ -681,6 +681,17 @@ def test_penalized_overflowed_defect_never_converges(b8):
         assert np.isfinite(report.residual_l2), (values[0], eps)
 
 
+def test_penalized_budget_error_names_tol_l2_when_the_scale_overflows(b8):
+    # u ||n||_2 / eps overflows for flat n = 1e300, and the message read
+    # "defect inf above tolerance inf"
+    n = qm.DensityProfile(b8, np.full(b8.N, 1e300))
+    with pytest.raises(MaxIterExceeded) as info:
+        qm.solve_penalized(n, 1e-2)
+    message = str(info.value)
+    assert "above tolerance 1.0e-09 " in message
+    assert message.endswith("its rounding scale u ||n||_2 / epsilon overflowed")
+
+
 def test_penalized_max_iter_report_is_penalized(b4):
     _, n = forward(b4, lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x))
     eps = 1e-2
@@ -791,9 +802,28 @@ def test_el_residual_constant_shift(b4):
     assert qm.euler_lagrange_residual(rho0, shifted) == pytest.approx(qm.hs_norm(rho0))
 
 
+def test_el_residual_of_a_gibbs_state_decomposes_once(b8, monkeypatch):
+    # gibbs_from_potential keeps the eigenpairs of H + A, and the residual
+    # reads them instead of decomposing the composed matrix again
+    A = qm.ChemicalPotential.from_callable(
+        b8, lambda x: np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
+    eigh, calls = np.linalg.eigh, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    residual = qm.euler_lagrange_residual(qm.gibbs_from_potential(b8, A), A)
+    assert len(calls) == 1
+    assert residual <= 1e-12
+
+
 def test_el_residual_rejects_negative_spectrum(b4):
+    # an operator built from a matrix decomposes on demand; one built from
+    # eigenpairs (gibbs_from_potential) keeps them and never reads its matrix
     m = np.diag([1.0, -0.5] + [0.0] * (b4.D - 2))
-    rho = qm.gibbs_from_potential(b4, qm.ChemicalPotential.constant(b4, 0.0))
+    rho = qm.DensityOperator(b4, np.eye(b4.D))
     object.__setattr__(rho, "matrix", m)
     with pytest.raises(SingularDensityOperator):
         qm.euler_lagrange_residual(rho, qm.ChemicalPotential.constant(b4, 0.0))

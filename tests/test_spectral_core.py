@@ -258,6 +258,17 @@ def test_from_eigenpairs_rejects_a_bad_spectrum_or_frame(b3):
                 qm.DensityOperator.from_eigenpairs(b3, eigenvalues, frame)
 
 
+def test_from_eigenpairs_keeps_its_pairs_in_ascending_order(b3, monkeypatch):
+    rng = np.random.default_rng(6)
+    Q = np.linalg.qr(rng.standard_normal((b3.D, b3.D)))[0]
+    w = rng.uniform(0.0, 2.0, b3.D)
+    rho = qm.DensityOperator.from_eigenpairs(b3, w, Q)
+    monkeypatch.setattr(np.linalg, "eigh", None)  # the pairs are not recomputed
+    lam, V = rho.eigenpairs
+    order = np.argsort(w)
+    assert np.array_equal(lam, w[order]) and np.array_equal(V, Q[:, order])
+
+
 def test_gibbs_matches_finite_difference_oracle_quick():
     b = qm.build_basis(2)
 
