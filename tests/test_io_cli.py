@@ -456,16 +456,25 @@ def test_cli_solve_basis_too_small_writes_report(tmp_path):
     assert verified["potential"] == payload["potential"]
 
 
-def test_cli_grid_is_a_usage_error(tmp_path, capsys):
-    # a density file is read on its own grid, so no command takes --grid
-    density = tmp_path / "n.csv"
-    assert run_cli("forward", "--potential", "cos(2*pi*x)", "--modes", "4",
-                   "--out", str(density)) == 0
+@pytest.mark.parametrize("grid", [17, 64])
+def test_cli_grid_option(tmp_path, capsys, grid):
+    # a density file is read on its own grid, so no command takes --grid:
+    # the grid is the file's when it is finer than the default 32 points at
+    # M = 4; 17 = 4M+1 is the smallest file at M = 4, and odd
+    density, report = tmp_path / "n.csv", tmp_path / "r.json"
+    basis = qm.build_basis(4, grid)
+    write_density(density, qm.density_of(qm.gibbs_from_potential(
+        basis, io_cli.potential_from_expression("cos(2*pi*x)", basis))))
+    assert run_cli("solve", "--density", str(density), "--modes", "4",
+                   "--out", str(report)) == 0
+    payload = json.loads(report.read_text())
+    assert payload["meta"]["grid"] == max(grid, 32)
+    assert len(payload["density_achieved"]["values"]) == max(grid, 32)
     out = str(tmp_path / "out")
     for argv in (("forward", "--potential", "zero"), ("solve", "--density", str(density)),
                  ("verify", "--density", str(density)),
                  ("sweep-epsilon", "--density", str(density))):
-        assert run_cli(*argv, "--modes", "4", "--grid", "64", "--out", out) == 64
+        assert run_cli(*argv, "--modes", "4", "--grid", str(grid), "--out", out) == 64
         assert "--grid" in capsys.readouterr().err
         assert not os.path.exists(out)
 
