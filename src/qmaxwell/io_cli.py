@@ -1,16 +1,17 @@
 """CSV/JSON serialization and the ``qmaxwell`` command-line surface.
 
 Density profiles travel as CSV with header ``x,n`` on a uniform periodic
-grid that excludes x = 1, with finite fields, and are read on that grid or
-a finer one, never a coarser one; solver output is a JSON
-report that round-trips losslessly (floats are written at full round-trip
-precision).  Exit codes: 0 success, 1 a failed ``verify`` inequality, 2
-iteration budget exhausted, 3 invalid input (including a mode cutoff too
-small for the density, a potential that is not finite in double precision
-and an output that cannot be written), 64 usage error.  ``solve`` and
-``verify`` write the report for the last iterate, with the density its
-residual was measured on, on exit 2 and on a too-small basis as well;
-``sweep-epsilon`` then writes the rows finished before the failed solve.
+grid that excludes x = 1, with finite fields; ``parse_density_csv`` reads
+one on the basis grid or, when the file is finer, on its own grid, never a
+coarser one.  Solver output is a JSON report that round-trips losslessly
+(floats are written at full round-trip precision).  Exit codes: 0 success,
+1 a failed ``verify`` inequality, 2 iteration budget exhausted, 3 invalid
+input (including a mode cutoff too small for the density, a potential that
+is not finite in double precision and an output that cannot be written), 64
+usage error.  ``solve`` and ``verify`` write the report for the last
+iterate, with the density its residual was measured on, on exit 2 and on a
+too-small basis as well; ``sweep-epsilon`` then writes the rows finished
+before the failed solve.
 """
 
 from __future__ import annotations
@@ -131,24 +132,12 @@ def _resample(values, N):
 
 
 def parse_density_csv(path, basis: SpectralBasis) -> DensityProfile:
-    """Load a density CSV and trigonometrically upsample it to the basis grid;
-    DensityFileError when it has more rows than the grid has points."""
-    return _read_density(path, basis.M, basis)
-
-
-def _read_density(path, M: int, basis: SpectralBasis | None = None) -> DensityProfile:
-    """The density file on ``basis``, by default the cutoff-M basis on the
-    default grid or, when the file has more rows, on the file's own grid."""
+    """Load a density CSV on the basis grid, trigonometrically upsampling a
+    coarser file; a file with more rows is read on its own grid at the same
+    cutoff, and the profile's ``basis`` says which grid was used."""
     values = _read_uniform_csv(path, "x,n", positive=True)
-    if basis is None:
-        basis = build_basis(M)
-        basis = basis if values.size <= basis.N else build_basis(M, values.size)
-    if values.size < 4 * basis.M + 1:
-        raise DensityFileError(f"{path}: {values.size} rows cannot resolve M={basis.M} "
-                               f"(need at least {4 * basis.M + 1})")
     if values.size > basis.N:
-        raise DensityFileError(f"{path}: {values.size} rows would lose their content "
-                               f"above wavenumber {basis.N // 2} on the {basis.N}-point grid")
+        basis = build_basis(basis.M, values.size)
     resampled = _resample(values, basis.N)
     if np.min(resampled) <= 0.0:
         raise NonPositiveDensity(
@@ -157,6 +146,8 @@ def _read_density(path, M: int, basis: SpectralBasis | None = None) -> DensityPr
 
 
 def write_density_csv(path, basis: SpectralBasis, values):
+    if np.shape(values) != (basis.N,):
+        raise ValueError(f"density of shape {np.shape(values)} on the {basis.N}-point grid")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,n\n")
         for x, v in zip(basis.grid, values):
@@ -234,12 +225,12 @@ def parse_potential(arg: str, basis: SpectralBasis) -> ChemicalPotential:
 # ---------------------------------------------------------------------------
 # report JSON
 
-def build_report_dict(basis, opts: SolverOptions, report, A: ChemicalPotential,
-                      density_achieved, inequalities=()) -> dict:
+def build_report_dict(opts: SolverOptions, report, A: ChemicalPotential,
+                      inequalities=()) -> dict:
     return {
         "meta": {
-            "modes": basis.M,
-            "grid": basis.N,
+            "modes": A.basis.M,
+            "grid": A.basis.N,
             "tolerances": {"tol_l2": opts.tol_l2, "max_iter": opts.max_iter},
             "schedule": list(opts.epsilon_schedule),
         },
@@ -253,7 +244,7 @@ def build_report_dict(basis, opts: SolverOptions, report, A: ChemicalPotential,
             "iterations": report.iterations,
         },
         "potential": {"fourier_coefficients": [float(c) for c in A.coefficients]},
-        "density_achieved": {"values": [float(v) for v in density_achieved]},
+        "density_achieved": {"values": [float(v) for v in report.density]},
         "inequalities": [dataclasses.asdict(r) for r in inequalities],
         "history": [dataclasses.asdict(h) for h in report.history],
     }
@@ -310,7 +301,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--modes", type=int, required=True, metavar="M")
+        p.add_argument("--modes", type=_int_at_least(1), required=True, metavar="M")
 
     p_fwd = sub.add_parser("forward", help="density of exp(-(H+A))")
     common(p_fwd)
@@ -363,7 +354,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_solve(args) -> int:
     """``solve``, and ``verify``: the inequality suite runs once the solve converges."""
-    n = _read_density(args.density, args.modes)
+    n = parse_density_csv(args.density, build_basis(args.modes))
     opts = SolverOptions(tol_l2=args.tol, max_iter=args.max_iter)
     failure, inequalities, code = None, [], EXIT_OK
     try:
@@ -377,7 +368,7 @@ def _cmd_solve(args) -> int:
                                             args.seed)
         if not all(r.holds for r in inequalities if not r.diagnostic):
             code = 1
-    payload = build_report_dict(n.basis, opts, report, A, report.density, inequalities)
+    payload = build_report_dict(opts, report, A, inequalities)
     if isinstance(failure, BasisTooSmall):
         payload["result"]["suggested_modes"] = failure.suggested_modes
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -388,7 +379,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    n = _read_density(args.density, args.modes)
+    n = parse_density_csv(args.density, build_basis(args.modes))
     kwargs = {"tol_l2": args.tol}
     if args.schedule:
         try:

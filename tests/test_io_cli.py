@@ -71,8 +71,8 @@ def test_density_csv_exact_roundtrip(tmp_path, b4):
 
 
 def test_density_resampling_preserves_mass(tmp_path):
-    # 17 rows up to 32 points; 64 rows are never read down to 34 points,
-    # which would drop the file's content above wavenumber 17
+    # 17 rows up to 32 points; 64 rows on their own grid, never down to 34
+    # points, which would drop the file's content above wavenumber 17
     for rows in (17, 64):
         x = np.arange(rows) / rows
         write_density(tmp_path / f"wave{rows}.csv", 1.0 + 0.5 * np.cos(2 * np.pi * x))
@@ -82,17 +82,18 @@ def test_density_resampling_preserves_mass(tmp_path):
     assert abs(profile.mass - 1.0) <= 1e-12
     expected = 1.0 + 0.5 * np.cos(2 * np.pi * basis.grid)
     assert_allclose(profile.values, expected, atol=1e-12)
-    with pytest.raises(DensityFileError, match="64 rows .* 34-point grid"):
-        io_cli.parse_density_csv(tmp_path / "wave64.csv", qm.build_basis(8, 34))
+    fine = io_cli.parse_density_csv(tmp_path / "wave64.csv", qm.build_basis(8, 34))
+    assert (fine.basis.M, fine.basis.N) == (8, 64)
+    assert np.array_equal(fine.values, 1.0 + 0.5 * np.cos(2 * np.pi * np.arange(64) / 64))
 
 
 @st.composite
 def band_limited_files(draw):
     """(M, rows, values, coarser): a positive density of wavenumber <= rows/2
-    sampled on rows >= 4M+1 points, and a basis grid of fewer points than
-    rows (None when rows = 4M+1, the coarsest grid at M)."""
+    sampled on 2 <= rows <= 512 points, and a basis grid of fewer points than
+    rows (None when rows <= 4M+1, the coarsest grid at M)."""
     M = draw(st.integers(1, 16))
-    rows = draw(st.integers(4 * M + 1, 512))
+    rows = draw(st.integers(2, 512))
     kmax = draw(st.integers(1, rows // 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = rng.standard_normal((2, kmax))
@@ -107,28 +108,28 @@ def band_limited_files(draw):
 @given(band_limited_files())
 @settings(max_examples=40, deadline=None)
 def test_density_file_is_read_on_its_own_grid(tmp_path_factory, case):
-    # the CLI reads a file on the default grid or on its own, whichever is
-    # finer: at or above the default grid the profile is the file, bit for
-    # bit; below it, the file's trigonometric interpolant, as before
+    # a file is read on the basis grid or on its own, whichever is finer: at
+    # or above the basis grid the profile is the file, bit for bit; below
+    # it, the file's trigonometric interpolant, however few its rows
     M, rows, values, coarser = case
     path = tmp_path_factory.mktemp("grid") / "n.csv"
     write_density(path, values)
-    profile = io_cli._read_density(path, M)
     default = qm.build_basis(M)
+    profile = io_cli.parse_density_csv(path, default)
     if rows >= default.N:
         assert profile.basis.N == rows
         assert np.array_equal(profile.values, values)
     else:
         assert profile.basis.N == default.N
-        assert np.array_equal(profile.values, io_cli.parse_density_csv(path, default).values)
         expected = np.fft.rfft(values) / rows
         got = np.fft.rfft(profile.values)[: rows // 2 + 1] / default.N
         if rows % 2 == 0:
             got[-1] *= 2.0  # the file's Nyquist term splits between +-rows/2
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(values)
     if coarser is not None:
-        with pytest.raises(DensityFileError, match=rf"{rows} rows .* {coarser}-point grid"):
-            io_cli.parse_density_csv(path, qm.build_basis(M, coarser))
+        fine = io_cli.parse_density_csv(path, qm.build_basis(M, coarser))
+        assert (fine.basis.M, fine.basis.N) == (M, rows)
+        assert np.array_equal(fine.values, values)
 
 
 def test_resample_matches_scipy_reference():
@@ -201,10 +202,23 @@ def test_density_positivity_error(tmp_path, b4):
 
 
 def test_density_too_few_rows(tmp_path, b4):
+    # fewer rows than 4M+1 = 17 are upsampled to the basis grid: a retry at
+    # a larger cutoff reads the same file
     path = tmp_path / "few.csv"
-    write_density(path, np.full(8, 1.0))  # below 4M+1 = 17
-    with pytest.raises(DensityFileError):
-        io_cli.parse_density_csv(path, b4)
+    write_density(path, np.full(8, 1.0))
+    profile = io_cli.parse_density_csv(path, b4)
+    assert profile.basis == b4
+    assert_allclose(profile.values, np.ones(b4.N), rtol=0, atol=1e-15)
+
+
+def test_write_density_csv_rejects_values_off_the_grid(tmp_path, b4):
+    # zip wrote the shorter length: 64 values as 32 rows under the wrong x,
+    # 5 values as a file that fails the uniform-grid check
+    path = tmp_path / "n.csv"
+    for size in (64, 5):
+        with pytest.raises(ValueError, match=rf"\({size},\) on the 32-point grid"):
+            io_cli.write_density_csv(path, b4, np.ones(size))
+        assert not path.exists()
 
 
 def test_density_that_resamples_below_zero_is_rejected(tmp_path, b4):
@@ -288,13 +302,14 @@ def test_report_json_roundtrip(b4):
     opts = qm.SolverOptions()
     A, rho, report = qm.solve_maxwellian(n, opts)
     inequalities = run_inequality_suite(b4, A, rho, n, opts, samples=10, seed=3)
-    payload = io_cli.build_report_dict(b4, opts, report, A, qm.density_of(rho),
-                                       inequalities)
+    payload = io_cli.build_report_dict(opts, report, A, inequalities)
     text = io_cli.serialize_report(payload)
     assert io_cli.parse_report(text) == payload
     for key in ("meta", "result", "potential", "density_achieved",
                 "inequalities", "history"):
         assert key in payload
+    assert (payload["meta"]["modes"], payload["meta"]["grid"]) == (4, 32)
+    assert payload["density_achieved"]["values"] == report.density.tolist()
     assert "method" not in payload["meta"]
     assert set(payload["meta"]["tolerances"]) == {"tol_l2", "max_iter"}
 
@@ -343,6 +358,22 @@ def test_cli_reads_a_fine_density_on_its_own_grid(tmp_path):
     assert run_cli("sweep-epsilon", "--density", str(density), "--modes", "8",
                    "--out", str(sweep)) == 3
     assert sweep.read_text() == "epsilon,residual_l2,F_eps,A_dist_hminus1\n"
+
+
+def test_cli_retry_at_the_suggested_cutoff_reads_the_same_file(tmp_path):
+    # the file is finer than M = 32 resolves, and the suggested retry at
+    # M = 128 upsamples its 256 rows to 1024 points; it was rejected for
+    # having fewer than 4M+1 = 513 rows
+    density, report = tmp_path / "n.csv", tmp_path / "r.json"
+    write_density(density, 1e-2 + np.exp(-50 * (np.arange(256) / 256 - 0.5) ** 2))
+    assert run_cli("solve", "--density", str(density), "--modes", "32",
+                   "--out", str(report)) == 3
+    assert json.loads(report.read_text())["result"]["suggested_modes"] == 128
+    assert run_cli("solve", "--density", str(density), "--modes", "128",
+                   "--out", str(report)) == 0
+    payload = json.loads(report.read_text())
+    assert (payload["meta"]["modes"], payload["meta"]["grid"]) == (128, 1024)
+    assert payload["result"]["residual_l2"] <= 1e-9
 
 
 def test_cli_solve_constant_density(tmp_path):
@@ -641,6 +672,15 @@ def test_cli_usage_errors(tmp_path, capsys):
                    "--seed", "-1", "--out", str(tmp_path / "v.json")) == 64
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "v.json").exists()
+    # a cutoff below 1 is a usage error on every command, naming the flag
+    out = str(tmp_path / "out")
+    density = str(tmp_path / "n.csv")
+    for argv in (("forward", "--potential", "zero"), ("solve", "--density", density),
+                 ("verify", "--density", density), ("sweep-epsilon", "--density", density)):
+        for modes in ("0", "-1"):
+            assert run_cli(*argv, "--modes", modes, "--out", out) == 64
+            assert "--modes" in capsys.readouterr().err
+            assert not os.path.exists(out)
 
 
 def test_cli_input_errors(tmp_path, capsys):
