@@ -5,19 +5,24 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qmaxwell import ChemicalPotential, DensityOperator
-from qmaxwell.inequalities import haar_rotation  # the verify suite's draws
-from qmaxwell.inequalities import random_psd as _random_psd
+from qmaxwell.inequalities import _rotations
 
 
 def random_psd(rng, basis, floor=0.0):
-    """The verify suite's random PSD density operator; ``floor`` adds that
-    multiple of the flat-mode projector (keeps the density bounded away from zero)."""
-    rho = _random_psd(rng, basis)
-    if not floor:
-        return rho
-    m = rho.matrix.copy()
-    m[0, 0] += floor * np.trace(m)
+    """A Wishart density operator B B^T / D, B a D x D Gaussian draw; ``floor``
+    adds that multiple of the flat-mode projector (keeps the density bounded
+    away from zero)."""
+    B = rng.standard_normal((basis.D, basis.D))
+    m = B @ B.T / basis.D
+    if floor:
+        m[0, 0] += floor * np.trace(m)
     return DensityOperator(basis, m)
+
+
+def haar_rotation(rng, D):
+    """A Haar-distributed orthogonal matrix from one D x D Gaussian draw, built
+    as the verify suite builds its rotations."""
+    return _rotations(rng.standard_normal((D, D)))
 
 
 def random_potential(rng, basis, max_wavenumber, bound):

@@ -1,5 +1,6 @@
 """The batched inequality suite behind ``verify`` against a per-sample loop
-over the public validators that draws from the same per-block streams."""
+over the public validators at the normalized solved state, drawing from the
+same per-block streams."""
 
 import dataclasses
 import json
@@ -11,13 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmaxwell as qm
 from qmaxwell import functionals as fn
 from qmaxwell import inequalities
 from qmaxwell.errors import NotPositiveSemidefinite
-from qmaxwell.inequalities import haar_rotation, random_psd
 from qmaxwell.spectral_core import _checked_spectra
+
+from helpers import haar_rotation, random_potential, random_psd
 
 
 def _worst(reports):
@@ -27,7 +31,7 @@ def _worst(reports):
 
 def block_streams(samples, seed):
     """The suite's (generator, block size) pairs: one child of the seed per
-    block, which all four inequalities draw from."""
+    block, which the three sampled inequalities draw from."""
     B = inequalities.BLOCK
     sizes = [min(B, samples - start) for start in range(0, samples, B)]
     return [(np.random.default_rng(c), s)
@@ -35,28 +39,35 @@ def block_streams(samples, seed):
 
 
 def sample(rng, basis):
-    """One sample's (rho1, rho2, rotation): rho1 Wishart, then the rotation R,
-    then rho2 with the spectrum g^2 of D normals g in the frame R."""
-    rho1, R = random_psd(rng, basis), haar_rotation(rng, basis.D)
+    """One sample's (rho2, rotation): the rotation R, then rho2 with the
+    spectrum g^2 of D normals g in the frame R."""
+    R = haar_rotation(rng, basis.D)
     mu = rng.standard_normal(basis.D) ** 2
-    return rho1, qm.DensityOperator.from_eigenpairs(basis, mu, R), R
+    return qm.DensityOperator.from_eigenpairs(basis, mu, R), R
 
 
 def segments(rng, basis, s):
-    """A block's samples (rho1, rho2, rotation, t): per sample the two
-    operators and the rotation are drawn first, then the s weights."""
+    """A block's samples (rho2, rotation, t): per sample the operator and the
+    rotation are drawn first, then the s weights."""
     draws = [sample(rng, basis) for _ in range(s)]
     return [(*d, t) for d, t in zip(draws, rng.uniform(0.1, 0.9, s))]
 
 
-def oracle_suite(basis, samples, seed):
-    """The randomized entries of the suite, one sample at a time."""
+def anchor_of(rho):
+    """The suite's anchor: the solved operator normalized to unit trace."""
+    return qm.DensityOperator(rho.basis, rho.matrix / rho.trace)
+
+
+def oracle_suite(basis, rho, samples, seed):
+    """The randomized entries of the suite, one sample at a time, through
+    the public validators at rho/Tr rho."""
+    r1 = anchor_of(rho)
     draws = [d for rng, s in block_streams(samples, seed) for d in segments(rng, basis, s)]
     return [
-        _worst([qm.validate_lieb(r1) for r1, _, _, _ in draws]),
-        _worst([qm.validate_peierls(r1, R) for r1, _, R, _ in draws]),
-        _worst([qm.convexity_probe(r1, r2, t) for r1, r2, _, t in draws]),
-        _worst([qm.eigenvalue_perturbation_check(r1, r2) for r1, r2, _, _ in draws]),
+        qm.validate_lieb(r1),
+        _worst([qm.validate_peierls(r1, R) for _, R, _ in draws]),
+        _worst([qm.convexity_probe(r1, r2, t) for r2, _, t in draws]),
+        _worst([qm.eigenvalue_perturbation_check(r1, r2) for r2, _, _ in draws]),
     ]
 
 
@@ -84,8 +95,56 @@ def test_batched_suite_equals_per_sample_oracle(solved, samples):
     assert [r.name for r in suite] == [
         "lieb", "peierls", "convexity", "eigenvalue_perturbation",
         "euler_lagrange_residual", "potential_reconstruction", "log_sobolev"]
-    for got, want in zip(suite[:4], oracle_suite(basis, samples, seed)):
+    for got, want in zip(suite[:4], oracle_suite(basis, rho, samples, seed)):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+def test_randomized_entries_are_checked_at_the_solved_state():
+    # one seed, two solved densities: every sampled entry moves with the
+    # state, and lieb is the public validator's one check at rho/Tr rho
+    basis, opts = qm.build_basis(8), qm.SolverOptions()
+    suites = []
+    for f in (lambda x: np.cos(2 * np.pi * x),
+              lambda x: 0.7 * np.sin(6 * np.pi * x) + 0.2 * np.cos(2 * np.pi * x)):
+        A = qm.ChemicalPotential.from_callable(basis, f)
+        rho = qm.gibbs_from_potential(basis, A)
+        n = qm.DensityProfile(basis, qm.density_of(rho))
+        suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 1)
+        assert dataclasses.asdict(suite[0]) == dataclasses.asdict(qm.validate_lieb(anchor_of(rho)))
+        suites.append(suite)
+    # (both states are nearly pure, so a side that reads only the anchor's
+    # spectrum and the draws can agree; the gaps cannot)
+    for first, second in zip(suites[0][1:4], suites[1][1:4]):
+        assert first.name == second.name and first.gap != second.gap
+
+
+_BASES = {M: qm.build_basis(M) for M in (1, 4, 8, 16)}
+
+
+@given(seed=st.integers(0, 2**31 - 1), M=st.sampled_from(sorted(_BASES)),
+       log_trace=st.floats(-450.0, 450.0))
+@settings(max_examples=40, deadline=None)
+def test_randomized_entries_hold_at_any_mass(seed, M, log_trace):
+    # Gibbs states of a random shape, shifted by a constant to Tr rho ~
+    # exp(log_trace): rho/Tr rho keeps the absolute 1e-10 slacks meaningful
+    # and the Frobenius norms finite at any mass
+    basis = _BASES[M]
+    rng = np.random.default_rng(seed)
+    shape = random_potential(rng, basis, min(M, 3), 3.0).coefficients
+    shift = np.log(qm.gibbs_from_potential(basis, qm.ChemicalPotential(basis, shape)).trace)
+    shape[0] += shift - log_trace
+    A = qm.ChemicalPotential(basis, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rho = qm.gibbs_from_potential(basis, A)
+        n = qm.DensityProfile(basis, qm.density_of(rho))
+        suite = inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(),
+                                                  33, seed % 1000)
+    assert abs(np.log(rho.trace) - log_trace) < 1e-6 * (1.0 + abs(log_trace))
+    assert all(r.holds for r in suite[:4])
+    anchor = anchor_of(rho)
+    assert dataclasses.asdict(suite[0]) == dataclasses.asdict(qm.validate_lieb(anchor))
+    assert suite[1].rhs == qm.validate_peierls(anchor, np.eye(basis.D)).rhs
 
 
 @pytest.mark.parametrize("samples", [1, 33, 200])
@@ -99,13 +158,13 @@ def test_each_randomized_entry_covers_exactly_the_samples(solved, samples, monke
 
     monkeypatch.setattr(fn.InequalityStack, "worst", recording)
     inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), samples, 3)
-    assert sizes == {name: samples for name in
-                     ("lieb", "peierls", "convexity", "eigenvalue_perturbation")}
+    assert sizes == {"lieb": 1, "peierls": samples, "convexity": samples,
+                     "eigenvalue_perturbation": samples}
 
 
-def test_suite_decomposes_three_operators_per_sample(monkeypatch):
-    # rho1, the convexity mixture and rho1 - rho2 for its trace norm; rho2's
-    # spectrum is drawn, not computed
+def test_suite_decomposes_two_operators_per_sample_and_the_anchor(monkeypatch):
+    # the convexity mixture and rho1 - rho2 for its trace norm, and rho/Tr rho
+    # once; rho2's spectrum is drawn, not computed
     basis, A, rho, n = solved_at(8)
     eigvalsh, decomposed = np.linalg.eigvalsh, [0]
 
@@ -115,7 +174,7 @@ def test_suite_decomposes_three_operators_per_sample(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), 200, 1)
-    assert decomposed[0] == 3 * 200
+    assert decomposed[0] == 2 * 200 + 1
 
 
 @pytest.mark.parametrize("M", [1, 8, 32])
@@ -134,7 +193,7 @@ def test_suite_second_operator_has_the_drawn_spectrum(M, monkeypatch):
     inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), 40, 5)
     spectra = np.concatenate([lam2 for _, lam2 in seen])
     drawn = [r2.eigenvalues for rng, s in block_streams(40, 5)
-             for _, r2, _, _ in segments(rng, basis, s)]
+             for r2, _, _ in segments(rng, basis, s)]
     assert np.array_equal(spectra, np.array(drawn))
     computed = np.linalg.eigvalsh(np.concatenate([m2 for m2, _ in seen]))
     bound = 1e-12 * (1.0 + spectra.max(axis=-1, keepdims=True))
@@ -226,13 +285,13 @@ def test_first_failing_block_raises_before_later_blocks_run(solved, monkeypatch)
     monkeypatch.setattr(fn, "_convexity", failing)
     with pytest.raises(RuntimeError) as raised:
         inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
-    t0s = [segments(rng, basis, s)[0][3] for rng, s in block_streams(200, 11)]
+    t0s = [segments(rng, basis, s)[0][2] for rng, s in block_streams(200, 11)]
     assert len(t0s) == 7 and calls == t0s[:3]
     assert str(raised.value) == f"block with t[0] = {t0s[2]!r}"
 
     monkeypatch.setattr(fn, "_convexity", convexity)
     suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
-    for got, want in zip(suite[:4], oracle_suite(basis, 200, 11)):
+    for got, want in zip(suite[:4], oracle_suite(basis, rho, 200, 11)):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
