@@ -1,6 +1,7 @@
 """Free energy, its penalized/regularized variants, the dual functional,
 and validators for the exact operator inequalities that ``verify`` and the
-test suite check, each one kernel over stacks of operators.
+test suite check.  A validator's kernel takes one anchor operator against a
+stack of samples and returns the report of its smallest-gap sample.
 
 The free energy of a density operator is
 
@@ -20,7 +21,7 @@ Functions of a density operator read the spectra that its class checked,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .spectral_core import (
     _check_same_basis,
     _checked_spectra,
     _compose,
-    _energy_traces,
     _multiplication_matrix,
     _spectral_entropy,
     _xlogx,
@@ -267,14 +267,16 @@ def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float
 def validate_lieb(rho: DensityOperator) -> InequalityReport:
     """Pairing bound: sum of rho's eigenvalues (descending) against H's
     (ascending) is at most the kinetic trace.  gap = rhs - lhs >= 0."""
-    return _lieb(rho.basis, rho.matrix[None], rho.eigenvalues[None]).report(0)
+    lhs = np.sum(rho.eigenvalues[::-1] * np.sort(rho.basis.h_eigenvalues))
+    rhs = energy_trace(rho)
+    return _report("lieb", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + rhs))
 
 
 def validate_peierls(rho: DensityOperator, basis_rotation) -> InequalityReport:
     """Peierls: sum of beta over diagonal entries in any orthonormal frame is
     at most Tr beta(rho).  gap = rhs - lhs >= 0."""
     R = np.asarray(basis_rotation, dtype=float)
-    return _peierls(rho.matrix[None], rho.eigenvalues[None], R[None]).report(0)
+    return _peierls(rho.matrix, rho.eigenvalues, R[None])
 
 
 def entropy_lower_bound_ratio(rho: DensityOperator):
@@ -314,8 +316,8 @@ def convexity_probe(rho1: DensityOperator, rho2: DensityOperator,
     """Entropy convexity along the segment; gap = rhs - lhs >= 0, with
     ``strict`` set when the operators are distinguishable and the gap is."""
     _check_same_basis(rho1.basis, rho2.basis)
-    return _convexity(rho1.matrix[None], rho1.eigenvalues[None], rho2.matrix[None],
-                      rho2.eigenvalues[None], np.array([t], dtype=float)).report(0)
+    return _convexity(rho1.matrix, rho1.eigenvalues, rho2.matrix[None],
+                      rho2.eigenvalues[None], np.array([t], dtype=float))
 
 
 def eigenvalue_perturbation_check(rho1: DensityOperator,
@@ -323,75 +325,51 @@ def eigenvalue_perturbation_check(rho1: DensityOperator,
     """Weyl-type bound: eigenvalue sup-distance is at most the J1 distance.
     gap = rhs - lhs >= 0."""
     _check_same_basis(rho1.basis, rho2.basis)
-    return _perturbation(rho1.matrix[None], rho1.eigenvalues[None],
-                         rho2.matrix[None], rho2.eigenvalues[None]).report(0)
+    return _perturbation(rho1.matrix, rho1.eigenvalues,
+                         rho2.matrix[None], rho2.eigenvalues[None])
 
 
-# Each validator above is one stacked kernel below, applied to a stack of
-# one.  A kernel takes density matrices (s, D, D) with the spectra (s, D)
-# that spectral_core._checked_spectra returned for them, and returns one
-# InequalityStack.  Every reduction runs along a sample's own axes, so a
-# sample's entries do not depend on how many samples share its stack.
+# Peierls, convexity and perturbation above each call one kernel below, with
+# the second operand as a stack of one sample.  A kernel takes the anchor
+# once, a density matrix (D, D) with the spectrum (D,) that
+# spectral_core._checked_spectra returned for it, against a stack (s, D, D)
+# of Haar frames or of second operators with their spectra (s, D), and
+# returns the _report of its samples.  Every reduction runs along a sample's
+# own axes, so a sample's entries do not depend on how many samples share
+# its stack.
 
-@dataclass(frozen=True)
-class InequalityStack:
-    """One inequality over s samples: arrays lhs, rhs, holds (and strict)."""
-
-    name: str
-    lhs: np.ndarray
-    rhs: np.ndarray
-    holds: np.ndarray
-    strict: np.ndarray | None = None
-
-    def report(self, i: int) -> InequalityReport:
-        """Sample i's report, gap = rhs - lhs."""
-        return InequalityReport(
-            name=self.name, lhs=float(self.lhs[i]), rhs=float(self.rhs[i]),
-            gap=float(self.rhs[i] - self.lhs[i]), holds=bool(self.holds[i]),
-            strict=None if self.strict is None else bool(self.strict[i]))
-
-    def worst(self) -> InequalityReport:
-        """The smallest-gap sample (first on ties), holding iff every sample does."""
-        worst = self.report(int(np.argmin(self.rhs - self.lhs)))
-        return replace(worst, holds=bool(np.all(self.holds)))
-
-    @classmethod
-    def concatenate(cls, stacks):
-        def joined(attr):
-            parts = [getattr(st, attr) for st in stacks]
-            return None if parts[0] is None else np.concatenate(parts)
-
-        return cls(stacks[0].name, *(joined(a) for a in ("lhs", "rhs", "holds", "strict")))
+def _report(name, lhs, rhs, holds, strict=None) -> InequalityReport:
+    """The report of the smallest-gap sample (first on ties) of per-sample
+    lhs and rhs of one shape (or scalars, one sample), gap = rhs - lhs,
+    holding iff every sample holds; ``strict`` is the chosen sample's."""
+    lhs, rhs = np.ravel(lhs), np.ravel(rhs)
+    i = int(np.argmin(rhs - lhs))
+    return InequalityReport(
+        name=name, lhs=float(lhs[i]), rhs=float(rhs[i]), gap=float(rhs[i] - lhs[i]),
+        holds=bool(np.all(holds)), strict=None if strict is None else bool(strict[i]))
 
 
-def _lieb(basis: SpectralBasis, matrices, eigenvalues) -> InequalityStack:
-    mu = np.sort(basis.h_eigenvalues)
-    lhs = np.sum(eigenvalues[:, ::-1] * mu, axis=-1)
-    rhs = _energy_traces(basis, matrices)
-    return InequalityStack("lieb", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + rhs))
-
-
-def _peierls(matrices, eigenvalues, rotations) -> InequalityStack:
+def _peierls(matrix, eigenvalues, rotations) -> InequalityReport:
     _check_orthogonal(rotations, "rotation")
     Rt = np.swapaxes(rotations, -1, -2)
-    lhs = _spectral_entropy(np.diagonal(Rt @ matrices @ rotations, axis1=-2, axis2=-1))
-    rhs = _spectral_entropy(eigenvalues)
-    return InequalityStack("peierls", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + np.abs(rhs)))
+    lhs = _spectral_entropy(np.diagonal(Rt @ matrix @ rotations, axis1=-2, axis2=-1))
+    rhs = np.full(lhs.shape, _spectral_entropy(eigenvalues))
+    return _report("peierls", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + np.abs(rhs)))
 
 
-def _convexity(matrices1, eigenvalues1, matrices2, eigenvalues2, t) -> InequalityStack:
+def _convexity(matrix1, eigenvalues1, matrices2, eigenvalues2, t) -> InequalityReport:
     if not np.all((0.0 < t) & (t < 1.0)):
         raise ValueError("t must lie strictly inside (0, 1)")
     ts = t[:, None, None]
-    lhs = _spectral_entropy(_checked_spectra(ts * matrices1 + (1.0 - ts) * matrices2))
+    lhs = _spectral_entropy(_checked_spectra(ts * matrix1 + (1.0 - ts) * matrices2))
     rhs = t * _spectral_entropy(eigenvalues1) + (1.0 - t) * _spectral_entropy(eigenvalues2)
-    diff = matrices1 - matrices2
+    diff = matrix1 - matrices2
     distinct = np.sqrt(np.sum(diff * diff, axis=(-2, -1))) > 1e-8
-    return InequalityStack("convexity", lhs, rhs, lhs <= rhs + 1e-10,
-                           strict=distinct & (rhs - lhs > 1e-12))
+    return _report("convexity", lhs, rhs, lhs <= rhs + 1e-10,
+                   strict=distinct & (rhs - lhs > 1e-12))
 
 
-def _perturbation(matrices1, eigenvalues1, matrices2, eigenvalues2) -> InequalityStack:
+def _perturbation(matrix1, eigenvalues1, matrices2, eigenvalues2) -> InequalityReport:
     lhs = np.max(np.abs(eigenvalues1 - eigenvalues2), axis=-1)
-    rhs = trace_norm(matrices1 - matrices2)
-    return InequalityStack("eigenvalue_perturbation", lhs, rhs, lhs <= rhs + 1e-10)
+    rhs = trace_norm(matrix1 - matrices2)
+    return _report("eigenvalue_perturbation", lhs, rhs, lhs <= rhs + 1e-10)

@@ -7,12 +7,15 @@ another, on the calling thread.  The seed's ``SeedSequence`` is spawned into
 one stream per block, and one draw from it feeds the three sampled
 inequalities (see :func:`_check_block`).  The second operator of a sample is
 composed from a drawn spectrum, so a sample decomposes two operators.  Each
-block runs the stacked kernels of the public validators in
-:mod:`qmaxwell.functionals`, and its draws and temporaries live only while it
-runs.
+block passes the anchor once, against its stack of samples, to the kernels
+of the public validators in :mod:`qmaxwell.functionals`, which return the
+report of the block's smallest-gap sample; the suite keeps the smallest gap
+over the blocks.  A block's draws and temporaries live only while it runs.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,8 +48,7 @@ def _check_block(anchor, rng, s):
     draws = rng.standard_normal((s, D * D + D))
     t = rng.uniform(0.1, 0.9, s)
     R, mu = _rotations(draws[:, :D * D].reshape(s, D, D)), draws[:, D * D:] ** 2
-    rho1 = (np.broadcast_to(anchor.matrix, (s, D, D)),
-            np.broadcast_to(anchor.eigenvalues, (s, D)))
+    rho1 = (anchor.matrix, anchor.eigenvalues)
     rho2 = (_compose(R, mu), np.sort(mu, axis=-1))
     return (fn._peierls(*rho1, R), fn._convexity(*rho1, *rho2, t),
             fn._perturbation(*rho1, *rho2))
@@ -65,12 +67,12 @@ def run_inequality_suite(basis, A, rho, n, opts, samples, seed):
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
     blocks = [_check_block(anchor, np.random.default_rng(stream), s)
               for stream, s in zip(streams, sizes)]
-    out = [fn._lieb(basis, anchor.matrix[None], anchor.eigenvalues[None]).worst()]
-    out += [fn.InequalityStack.concatenate(stacks).worst() for stacks in zip(*blocks)]
+    out = [fn.validate_lieb(anchor)]
+    out += [replace(min(reports, key=lambda r: r.gap), holds=all(r.holds for r in reports))
+            for reports in zip(*blocks)]
 
     def bounded(name, lhs, rhs):
-        return fn.InequalityReport(name=name, lhs=lhs, rhs=rhs, gap=rhs - lhs,
-                                   holds=bool(lhs <= rhs))
+        return fn._report(name, lhs, rhs, lhs <= rhs)
 
     # the form at psi = e_p recovers integral of A e_p, which is the coefficient a_p
     recovered = reconstruct_potential_form(rho, n, basis.functions)

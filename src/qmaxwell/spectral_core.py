@@ -430,13 +430,7 @@ def kernel_eval(rho: DensityOperator, x, y) -> float:
 
 def energy_trace(rho: DensityOperator) -> float:
     """Kinetic trace Tr(sqrt(H) rho sqrt(H)) = sum_p mu_p rho_pp (H is diagonal)."""
-    return float(_energy_traces(rho.basis, rho.matrix[None])[0])
-
-
-def _energy_traces(basis: SpectralBasis, matrices) -> np.ndarray:
-    """:func:`energy_trace` of each slice of a stack (s, D, D), reduced along
-    each slice's own diagonal: a slice's value does not depend on the stack."""
-    return np.sum(np.diagonal(matrices, axis1=-2, axis2=-1) * basis.h_eigenvalues, axis=-1)
+    return float(np.sum(np.diagonal(rho.matrix) * rho.basis.h_eigenvalues))
 
 
 def _as_matrix(op):

@@ -149,17 +149,19 @@ def test_randomized_entries_hold_at_any_mass(seed, M, log_trace):
 
 @pytest.mark.parametrize("samples", [1, 33, 200])
 def test_each_randomized_entry_covers_exactly_the_samples(solved, samples, monkeypatch):
+    # every entry but log-Sobolev reports through fn._report, a block at a time
     basis, A, rho, n = solved
-    worst, sizes = fn.InequalityStack.worst, {}
+    report, sizes = fn._report, {}
 
-    def recording(stack):
-        sizes[stack.name] = len(stack.lhs)
-        return worst(stack)
+    def recording(name, lhs, rhs, holds, strict=None):
+        sizes[name] = sizes.get(name, 0) + np.size(lhs)
+        return report(name, lhs, rhs, holds, strict)
 
-    monkeypatch.setattr(fn.InequalityStack, "worst", recording)
+    monkeypatch.setattr(fn, "_report", recording)
     inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), samples, 3)
     assert sizes == {"lieb": 1, "peierls": samples, "convexity": samples,
-                     "eigenvalue_perturbation": samples}
+                     "eigenvalue_perturbation": samples, "euler_lagrange_residual": 1,
+                     "potential_reconstruction": 1}
 
 
 def test_suite_decomposes_two_operators_per_sample_and_the_anchor(monkeypatch):
@@ -320,16 +322,16 @@ def test_stacked_peierls_finds_one_non_orthogonal_rotation():
     basis = qm.build_basis(4)
     rng = np.random.default_rng(6)
     ops = [random_psd(rng, basis) for _ in range(40)]
-    matrices = np.array([op.matrix for op in ops])
-    spectra = np.array([op.eigenvalues for op in ops])
     rotations = np.array([haar_rotation(rng, basis.D) for _ in range(40)])
-    assert fn._peierls(matrices, spectra, rotations).holds.all()
+    assert all(fn._peierls(op.matrix, op.eigenvalues, rotations).holds for op in ops)
     rotations[33] *= 1.0 + 1e-8
-    with pytest.raises(ValueError, match="not orthogonal"):
-        fn._peierls(matrices, spectra, rotations)
+    for op in ops:
+        with pytest.raises(ValueError, match="not orthogonal"):
+            fn._peierls(op.matrix, op.eigenvalues, rotations)
     rotations[33] = np.nan  # NaN passes a test such as error > tol
-    with pytest.raises(ValueError, match="not orthogonal"):
-        fn._peierls(matrices, spectra, rotations)
+    for op in ops:
+        with pytest.raises(ValueError, match="not orthogonal"):
+            fn._peierls(op.matrix, op.eigenvalues, rotations)
 
 
 def test_stacked_convexity_rejects_a_weight_outside_the_segment():
@@ -339,7 +341,7 @@ def test_stacked_convexity_rejects_a_weight_outside_the_segment():
     m = np.array([op.matrix for op in ops])
     lam = np.array([op.eigenvalues for op in ops])
     with pytest.raises(ValueError, match="strictly inside"):
-        fn._convexity(m, lam, m[::-1], lam[::-1], np.array([0.5, 1.0, 0.5]))
+        fn._convexity(m[0], lam[0], m[::-1], lam[::-1], np.array([0.5, 1.0, 0.5]))
 
 
 def test_stacked_reductions_match_per_slice_dot_products():
@@ -354,15 +356,40 @@ def test_stacked_reductions_match_per_slice_dot_products():
     mu = basis.h_eigenvalues
     sorted_mu = np.sort(mu)
     bound = basis.D * np.finfo(float).eps
-    lieb = fn._lieb(basis, m, lam)
-    for i in range(len(ops)):
+    for i, op in enumerate(ops):
+        lieb = qm.validate_lieb(op)
         lhs = lam[i, ::-1] @ sorted_mu
         rhs = mu @ np.diag(m[i])
-        assert abs(lieb.lhs[i] - lhs) <= bound * (np.abs(lam[i, ::-1]) @ sorted_mu)
-        assert abs(lieb.rhs[i] - rhs) <= bound * (mu @ np.abs(np.diag(m[i])))
+        assert abs(lieb.lhs - lhs) <= bound * (np.abs(lam[i, ::-1]) @ sorted_mu)
+        assert abs(lieb.rhs - rhs) <= bound * (mu @ np.abs(np.diag(m[i])))
     m2 = m[::-1].copy()
     m2[5] = m[5]  # an identical pair is never strict
-    convexity = fn._convexity(m, lam, m2, _checked_spectra(m2), np.full(len(ops), 0.5))
+    lam2 = _checked_spectra(m2)
     distinct = np.array([np.linalg.norm(a - b) for a, b in zip(m, m2)]) > 1e-8
     assert not distinct[5]
-    assert np.array_equal(convexity.strict, distinct & (convexity.rhs - convexity.lhs > 1e-12))
+    for i in range(len(ops)):
+        convexity = fn._convexity(m[i], lam[i], m2[i:i + 1], lam2[i:i + 1], np.array([0.5]))
+        assert convexity.strict == (distinct[i] and convexity.rhs - convexity.lhs > 1e-12)
+
+
+def test_report_is_the_smallest_gap_sample_holding_iff_every_sample_holds():
+    # gaps 1, 1, 3: the tie goes to the first sample, whatever holds and
+    # strict say of the others
+    lhs, rhs = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 5.0])
+    rep = fn._report("x", lhs, rhs, np.array([True, True, True]),
+                     strict=np.array([False, True, True]))
+    assert rep == fn.InequalityReport("x", 0.0, 1.0, 1.0, True, strict=False)
+    # one failing sample, not the smallest-gap one, fails the report
+    rep = fn._report("x", lhs, rhs, np.array([True, True, False]))
+    assert rep == fn.InequalityReport("x", 0.0, 1.0, 1.0, False)
+    # strict is the chosen sample's
+    rep = fn._report("x", lhs, np.array([3.0, 2.0, 2.5]), np.array([True, True, True]),
+                     strict=np.array([False, True, False]))
+    assert rep == fn.InequalityReport("x", 2.0, 2.5, 0.5, True, strict=False)
+    rep = fn._report("x", lhs, np.array([3.0, 1.5, 2.5]), np.array([True, True, True]),
+                     strict=np.array([False, True, False]))
+    assert rep == fn.InequalityReport("x", 1.0, 1.5, 0.5, True, strict=True)
+    # scalars are one sample
+    rep = fn._report("x", 1.0, 3.0, True)
+    assert rep == fn.InequalityReport("x", 1.0, 3.0, 2.0, True)
+    assert type(rep.lhs) is float and type(rep.holds) is bool
