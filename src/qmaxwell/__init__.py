@@ -23,19 +23,22 @@ from .errors import (
 )
 from .functionals import (
     FunctionalValue,
-    InequalityReport,
-    convexity_probe,
     dual_functional,
     dual_gradient,
     dual_hessian_apply,
     dual_hessian_matrix,
-    eigenvalue_perturbation_check,
-    entropy_lower_bound_ratio,
     free_energy,
     gateaux_entropy_derivative,
     gibbs_from_potential,
-    log_sobolev_gap,
     penalized_free_energy,
+)
+from .inequalities import (
+    InequalityReport,
+    convexity_probe,
+    eigenvalue_perturbation_check,
+    entropy_lower_bound_ratio,
+    log_sobolev_gap,
+    reconstruct_potential_form,
     validate_lieb,
     validate_peierls,
 )
@@ -55,7 +58,6 @@ from .maxwellian_solver import (
     epsilon_sweep,
     euler_lagrange_residual,
     fourier_decay_diagnostic,
-    reconstruct_potential_form,
     solve_maxwellian,
     solve_penalized,
 )

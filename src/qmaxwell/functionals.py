@@ -1,7 +1,5 @@
-"""Free energy, its penalized/regularized variants, the dual functional,
-and validators for the exact operator inequalities that ``verify`` and the
-test suite check.  A validator's kernel takes one anchor operator against a
-stack of samples and returns the report of its smallest-gap sample.
+"""Free energy, its penalized/regularized variants, the dual functional
+with its gradient and Hessian, and the entropy's directional derivative.
 
 The free energy of a density operator is
 
@@ -30,23 +28,17 @@ from .spectral_core import (
     DensityOperator,
     DensityProfile,
     SpectralBasis,
-    _check_orthogonal,
     _check_same_basis,
-    _checked_spectra,
     _compose,
     _multiplication_matrix,
-    _spectral_entropy,
-    _xlogx,
     assemble_hamiltonian_plus_potential,
     density_of,
     energy_trace,
     entropy_trace,
-    trace_norm,
 )
 
 __all__ = [
     "FunctionalValue",
-    "InequalityReport",
     "GibbsState",
     "gibbs_from_potential",
     "free_energy",
@@ -56,12 +48,6 @@ __all__ = [
     "dual_hessian_apply",
     "dual_hessian_matrix",
     "gateaux_entropy_derivative",
-    "validate_lieb",
-    "validate_peierls",
-    "entropy_lower_bound_ratio",
-    "log_sobolev_gap",
-    "convexity_probe",
-    "eigenvalue_perturbation_check",
 ]
 
 DEGENERACY_TOL = 1e-8
@@ -82,19 +68,6 @@ def _functional_value(entropy, energy, penalty=0.0):
     return FunctionalValue(entropy_term=float(entropy), energy_term=float(energy),
                            penalty_term=float(penalty),
                            total=float(entropy + energy + penalty))
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """lhs/rhs of one inequality; the gap convention is stated per validator."""
-
-    name: str
-    lhs: float
-    rhs: float
-    gap: float
-    holds: bool
-    strict: bool | None = None
-    diagnostic: bool = False
 
 
 def free_energy(rho: DensityOperator) -> FunctionalValue:
@@ -262,114 +235,3 @@ def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float
     lam, V = rho.eigenpairs
     L = (V * np.log(lam + eta)) @ V.T
     return float(np.sum(L * omega))
-
-
-def validate_lieb(rho: DensityOperator) -> InequalityReport:
-    """Pairing bound: sum of rho's eigenvalues (descending) against H's
-    (ascending) is at most the kinetic trace.  gap = rhs - lhs >= 0."""
-    lhs = np.sum(rho.eigenvalues[::-1] * np.sort(rho.basis.h_eigenvalues))
-    rhs = energy_trace(rho)
-    return _report("lieb", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + rhs))
-
-
-def validate_peierls(rho: DensityOperator, basis_rotation) -> InequalityReport:
-    """Peierls: sum of beta over diagonal entries in any orthonormal frame is
-    at most Tr beta(rho).  gap = rhs - lhs >= 0."""
-    R = np.asarray(basis_rotation, dtype=float)
-    return _peierls(rho.matrix, rho.eigenvalues, R[None])
-
-
-def entropy_lower_bound_ratio(rho: DensityOperator):
-    """Ratio max(0, -entropy) / sqrt(kinetic trace), or None at zero energy.
-
-    The matching constant in the entropy lower bound is not pinned down
-    analytically, so callers assert an empirical ceiling on sweeps.
-    """
-    energy = energy_trace(rho)
-    if energy <= 1e-12:
-        return None
-    ent = entropy_trace(rho, 0.0)
-    return float(max(0.0, -ent) / np.sqrt(energy))
-
-
-def log_sobolev_gap(rho: DensityOperator) -> InequalityReport:
-    """Diagnostic only: gap = lhs - rhs of the log-Sobolev form
-
-        Tr rho log rho + Tr sqrt(H) rho sqrt(H)
-            >= integral n log n + (log 4 pi)/2 Tr rho.
-
-    On the unit torus the constant fails for the flat projector, so
-    ``holds`` is informational and never gates a verification run.
-    """
-    if rho.trace <= 0.0:
-        raise ValueError("log-Sobolev diagnostic needs Tr rho > 0")
-    lhs = float(np.sum(_xlogx(rho.eigenvalues)) + energy_trace(rho))
-    n = np.maximum(density_of(rho), 1e-300)
-    rhs = rho.basis.quadrature(n * np.log(n)) + 0.5 * np.log(4.0 * np.pi) * rho.trace
-    gap = lhs - rhs
-    return InequalityReport(name="log_sobolev", lhs=lhs, rhs=float(rhs), gap=float(gap),
-                            holds=bool(gap >= -1e-10 * (1.0 + abs(rhs))), diagnostic=True)
-
-
-def convexity_probe(rho1: DensityOperator, rho2: DensityOperator,
-                    t: float) -> InequalityReport:
-    """Entropy convexity along the segment; gap = rhs - lhs >= 0, with
-    ``strict`` set when the operators are distinguishable and the gap is."""
-    _check_same_basis(rho1.basis, rho2.basis)
-    return _convexity(rho1.matrix, rho1.eigenvalues, rho2.matrix[None],
-                      rho2.eigenvalues[None], np.array([t], dtype=float))
-
-
-def eigenvalue_perturbation_check(rho1: DensityOperator,
-                                  rho2: DensityOperator) -> InequalityReport:
-    """Weyl-type bound: eigenvalue sup-distance is at most the J1 distance.
-    gap = rhs - lhs >= 0."""
-    _check_same_basis(rho1.basis, rho2.basis)
-    return _perturbation(rho1.matrix, rho1.eigenvalues,
-                         rho2.matrix[None], rho2.eigenvalues[None])
-
-
-# Peierls, convexity and perturbation above each call one kernel below, with
-# the second operand as a stack of one sample.  A kernel takes the anchor
-# once, a density matrix (D, D) with the spectrum (D,) that
-# spectral_core._checked_spectra returned for it, against a stack (s, D, D)
-# of Haar frames or of second operators with their spectra (s, D), and
-# returns the _report of its samples.  Every reduction runs along a sample's
-# own axes, so a sample's entries do not depend on how many samples share
-# its stack.
-
-def _report(name, lhs, rhs, holds, strict=None) -> InequalityReport:
-    """The report of the smallest-gap sample (first on ties) of per-sample
-    lhs and rhs of one shape (or scalars, one sample), gap = rhs - lhs,
-    holding iff every sample holds; ``strict`` is the chosen sample's."""
-    lhs, rhs = np.ravel(lhs), np.ravel(rhs)
-    i = int(np.argmin(rhs - lhs))
-    return InequalityReport(
-        name=name, lhs=float(lhs[i]), rhs=float(rhs[i]), gap=float(rhs[i] - lhs[i]),
-        holds=bool(np.all(holds)), strict=None if strict is None else bool(strict[i]))
-
-
-def _peierls(matrix, eigenvalues, rotations) -> InequalityReport:
-    _check_orthogonal(rotations, "rotation")
-    Rt = np.swapaxes(rotations, -1, -2)
-    lhs = _spectral_entropy(np.diagonal(Rt @ matrix @ rotations, axis1=-2, axis2=-1))
-    rhs = np.full(lhs.shape, _spectral_entropy(eigenvalues))
-    return _report("peierls", lhs, rhs, lhs <= rhs + 1e-10 * (1.0 + np.abs(rhs)))
-
-
-def _convexity(matrix1, eigenvalues1, matrices2, eigenvalues2, t) -> InequalityReport:
-    if not np.all((0.0 < t) & (t < 1.0)):
-        raise ValueError("t must lie strictly inside (0, 1)")
-    ts = t[:, None, None]
-    lhs = _spectral_entropy(_checked_spectra(ts * matrix1 + (1.0 - ts) * matrices2))
-    rhs = t * _spectral_entropy(eigenvalues1) + (1.0 - t) * _spectral_entropy(eigenvalues2)
-    diff = matrix1 - matrices2
-    distinct = np.sqrt(np.sum(diff * diff, axis=(-2, -1))) > 1e-8
-    return _report("convexity", lhs, rhs, lhs <= rhs + 1e-10,
-                   strict=distinct & (rhs - lhs > 1e-12))
-
-
-def _perturbation(matrix1, eigenvalues1, matrices2, eigenvalues2) -> InequalityReport:
-    lhs = np.max(np.abs(eigenvalues1 - eigenvalues2), axis=-1)
-    rhs = trace_norm(matrix1 - matrices2)
-    return _report("eigenvalue_perturbation", lhs, rhs, lhs <= rhs + 1e-10)

@@ -75,7 +75,7 @@ EXIT_USAGE = 64
 
 def _read_uniform_csv(path, header, positive):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a spreadsheet's BOM is dropped
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DensityFileError(f"{path}: {exc.strerror or exc}") from exc
@@ -203,7 +203,9 @@ def potential_from_expression(expr: str, basis: SpectralBasis) -> ChemicalPotent
             k = int(m.group("k")) if m.group("k") else 1
             if k < 1 or k > basis.M:
                 raise PotentialExprError(
-                    f"wavenumber {k} outside the basis (1..{basis.M}); raise --modes")
+                    f"wavenumber {k} outside the basis (1..{basis.M}); " + (
+                        "wavenumbers start at 1, and a constant is written as a plain "
+                        "number" if k < 1 else "raise --modes"))
             idx = 2 * k - 1 if m.group("fn") == "cos" else 2 * k
             c /= np.sqrt(2.0)  # against the orthonormal basis
         with np.errstate(over="ignore"):  # a sum that overflows is rejected below
@@ -364,8 +366,7 @@ def _cmd_solve(args) -> int:
         failure, A, report = exc, exc.potential, exc.report
         code = EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
     if failure is None and args.command == "verify":
-        inequalities = run_inequality_suite(n.basis, A, rho, n, opts, args.samples,
-                                            args.seed)
+        inequalities = run_inequality_suite(A, rho, n, opts.tol_l2, args.samples, args.seed)
         if not all(r.holds for r in inequalities if not r.diagnostic):
             code = 1
     payload = build_report_dict(opts, report, A, inequalities)

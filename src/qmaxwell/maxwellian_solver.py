@@ -77,7 +77,6 @@ __all__ = [
     "solve_penalized",
     "epsilon_sweep",
     "euler_lagrange_residual",
-    "reconstruct_potential_form",
     "fourier_decay_diagnostic",
 ]
 
@@ -426,33 +425,6 @@ def euler_lagrange_residual(rho: DensityOperator, A: ChemicalPotential) -> float
     X = (t[:, None] * t[None, :]) * Kt + np.diag(_xlogx(lam))
     with np.errstate(over="ignore"):  # an overflowed norm reads inf
         return float(np.linalg.norm(X))
-
-
-def reconstruct_potential_form(rho: DensityOperator, n: DensityProfile, psi):
-    """Linear form recovering integral of A psi from (rho, n) alone:
-
-        (A, psi) = -Tr((psi/n) rho log rho)
-                   - sum_p lam_p ( phi_p', ((psi/n) phi_p)' )
-
-    over ``rho.eigenpairs`` (lam_p, phi_p), which raise NotPositiveSemidefinite
-    on a negative spectrum.  At rho = exp(-(H+A)) with n = n[rho] this equals
-    integral of A psi for every periodic test psi.  ``psi`` is one grid
-    function (N,), giving a float, or a stack (P, N), giving P values.
-    """
-    basis = rho.basis
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim not in (1, 2) or psi.shape[-1] != basis.N:
-        raise ValueError(f"psi must be sampled on the {basis.N}-point grid")
-    lam, V = rho.eigenpairs
-    keep = lam > 1e-250
-    lam = lam[keep]
-    phi = V.T[keep] @ basis.functions          # eigenfunction values
-    d2phi = V.T[keep] @ (-basis.h_eigenvalues[:, None] * basis.functions)
-    # phi' has degree <= M < N/2 and the grid derivative is antisymmetric, so
-    # mean(phi' ((psi/n) phi)') = -mean(phi'' (psi/n) phi): one grid weight
-    w = _xlogx(lam) @ phi**2 - lam @ (phi * d2phi)
-    form = -np.mean(psi / n.values * w, axis=-1)  # a stack rounds as its rows
-    return float(form) if psi.ndim == 1 else form
 
 
 def fourier_decay_diagnostic(A: ChemicalPotential):

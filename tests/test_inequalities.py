@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmaxwell as qm
-from qmaxwell import functionals as fn
 from qmaxwell import inequalities
 from qmaxwell.errors import NotPositiveSemidefinite
 from qmaxwell.spectral_core import _checked_spectra
@@ -91,7 +90,7 @@ def test_batched_suite_equals_per_sample_oracle(solved, samples):
     basis, A, rho, n = solved
     opts = qm.SolverOptions()
     seed = 1000 * basis.M + samples
-    suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, samples, seed)
+    suite = inequalities.run_inequality_suite(A, rho, n, opts.tol_l2, samples, seed)
     assert [r.name for r in suite] == [
         "lieb", "peierls", "convexity", "eigenvalue_perturbation",
         "euler_lagrange_residual", "potential_reconstruction", "log_sobolev"]
@@ -109,7 +108,7 @@ def test_randomized_entries_are_checked_at_the_solved_state():
         A = qm.ChemicalPotential.from_callable(basis, f)
         rho = qm.gibbs_from_potential(basis, A)
         n = qm.DensityProfile(basis, qm.density_of(rho))
-        suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 1)
+        suite = inequalities.run_inequality_suite(A, rho, n, opts.tol_l2, 200, 1)
         assert dataclasses.asdict(suite[0]) == dataclasses.asdict(qm.validate_lieb(anchor_of(rho)))
         suites.append(suite)
     # (both states are nearly pure, so a side that reads only the anchor's
@@ -138,7 +137,7 @@ def test_randomized_entries_hold_at_any_mass(seed, M, log_trace):
         warnings.simplefilter("error", RuntimeWarning)
         rho = qm.gibbs_from_potential(basis, A)
         n = qm.DensityProfile(basis, qm.density_of(rho))
-        suite = inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(),
+        suite = inequalities.run_inequality_suite(A, rho, n, qm.SolverOptions().tol_l2,
                                                   33, seed % 1000)
     assert abs(np.log(rho.trace) - log_trace) < 1e-6 * (1.0 + abs(log_trace))
     assert all(r.holds for r in suite[:4])
@@ -149,19 +148,22 @@ def test_randomized_entries_hold_at_any_mass(seed, M, log_trace):
 
 @pytest.mark.parametrize("samples", [1, 33, 200])
 def test_each_randomized_entry_covers_exactly_the_samples(solved, samples, monkeypatch):
-    # every entry but log-Sobolev reports through fn._report, a block at a time
+    # every entry but log-Sobolev reports through one call of _report, on all
+    # of its samples at once
     basis, A, rho, n = solved
-    report, sizes = fn._report, {}
+    report, sizes, calls = inequalities._report, {}, {}
 
     def recording(name, lhs, rhs, holds, strict=None):
         sizes[name] = sizes.get(name, 0) + np.size(lhs)
+        calls[name] = calls.get(name, 0) + 1
         return report(name, lhs, rhs, holds, strict)
 
-    monkeypatch.setattr(fn, "_report", recording)
-    inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), samples, 3)
+    monkeypatch.setattr(inequalities, "_report", recording)
+    inequalities.run_inequality_suite(A, rho, n, qm.SolverOptions().tol_l2, samples, 3)
     assert sizes == {"lieb": 1, "peierls": samples, "convexity": samples,
                      "eigenvalue_perturbation": samples, "euler_lagrange_residual": 1,
                      "potential_reconstruction": 1}
+    assert calls == dict.fromkeys(sizes, 1)
 
 
 def test_suite_decomposes_two_operators_per_sample_and_the_anchor(monkeypatch):
@@ -175,7 +177,7 @@ def test_suite_decomposes_two_operators_per_sample_and_the_anchor(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), 200, 1)
+    inequalities.run_inequality_suite(A, rho, n, qm.SolverOptions().tol_l2, 200, 1)
     assert decomposed[0] == 2 * 200 + 1
 
 
@@ -185,14 +187,14 @@ def test_suite_second_operator_has_the_drawn_spectrum(M, monkeypatch):
     # eigvalsh of its stack must give sort(mu), mu the squares of the normals
     # the per-sample oracle draws, within the rounding of the composition
     basis, A, rho, n = solved_at(M)
-    perturbation, seen = fn._perturbation, []
+    perturbation, seen = inequalities._perturbation, []
 
     def recording(m1, lam1, m2, lam2):
         seen.append((m2, lam2))
         return perturbation(m1, lam1, m2, lam2)
 
-    monkeypatch.setattr(fn, "_perturbation", recording)
-    inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), 40, 5)
+    monkeypatch.setattr(inequalities, "_perturbation", recording)
+    inequalities.run_inequality_suite(A, rho, n, qm.SolverOptions().tol_l2, 40, 5)
     spectra = np.concatenate([lam2 for _, lam2 in seen])
     drawn = [r2.eigenvalues for rng, s in block_streams(40, 5)
              for r2, _, _ in segments(rng, basis, s)]
@@ -219,8 +221,22 @@ def test_suite_rejects_a_bad_sample_count_or_seed(name, value, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
-            inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(),
+            inequalities.run_inequality_suite(A, rho, n, qm.SolverOptions().tol_l2,
                                               args["samples"], args["seed"])
+    assert checked == []
+
+
+def test_suite_rejects_a_potential_or_density_off_rhos_basis(monkeypatch):
+    # the suite reads its basis from rho; A and n on another basis are
+    # rejected before any block is checked
+    _, A, rho, n = solved_at(4)
+    checked = []
+    monkeypatch.setattr(inequalities, "_check_block", lambda *a: checked.append(a))
+    other = qm.build_basis(4, 64)
+    for A_, n_ in ((qm.ChemicalPotential(other, A.coefficients), n),
+                   (A, qm.DensityProfile(other, np.ones(other.N)))):
+        with pytest.raises(qm.BasisMismatch):
+            inequalities.run_inequality_suite(A_, rho, n_, 1e-9, 5, 1)
     assert checked == []
 
 
@@ -238,7 +254,7 @@ for M in (1, 4, 8):
     rho = qm.gibbs_from_potential(basis, A)
     n = qm.DensityProfile(basis, qm.density_of(rho))
     for samples in (1, 31, 33, 200):
-        suite = run_inequality_suite(basis, A, rho, n, qm.SolverOptions(), samples,
+        suite = run_inequality_suite(A, rho, n, qm.SolverOptions().tol_l2, samples,
                                      1000 * M + samples)
         out[f"{M}-{samples}"] = [dataclasses.asdict(r) for r in suite]
 print(json.dumps(out))
@@ -266,7 +282,7 @@ def test_suite_bytes_do_not_depend_on_the_worker_count(solved, samples, one_cpu_
     # process writes with its default threads
     basis, A, rho, n = solved
     seed = 1000 * basis.M + samples
-    suite = inequalities.run_inequality_suite(basis, A, rho, n, qm.SolverOptions(),
+    suite = inequalities.run_inequality_suite(A, rho, n, qm.SolverOptions().tol_l2,
                                               samples, seed)
     here = json.dumps([dataclasses.asdict(r) for r in suite])
     assert here == json.dumps(one_cpu_suites[f"{basis.M}-{samples}"])
@@ -275,7 +291,7 @@ def test_suite_bytes_do_not_depend_on_the_worker_count(solved, samples, one_cpu_
 def test_first_failing_block_raises_before_later_blocks_run(solved, monkeypatch):
     basis, A, rho, n = solved
     opts = qm.SolverOptions()
-    convexity, calls = fn._convexity, []
+    convexity, calls = inequalities._convexity, []
 
     def failing(*args):
         # the 3rd block of 7 fails
@@ -284,15 +300,15 @@ def test_first_failing_block_raises_before_later_blocks_run(solved, monkeypatch)
             raise RuntimeError(f"block with t[0] = {calls[-1]!r}")
         return convexity(*args)
 
-    monkeypatch.setattr(fn, "_convexity", failing)
+    monkeypatch.setattr(inequalities, "_convexity", failing)
     with pytest.raises(RuntimeError) as raised:
-        inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
+        inequalities.run_inequality_suite(A, rho, n, opts.tol_l2, 200, 11)
     t0s = [segments(rng, basis, s)[0][2] for rng, s in block_streams(200, 11)]
     assert len(t0s) == 7 and calls == t0s[:3]
     assert str(raised.value) == f"block with t[0] = {t0s[2]!r}"
 
-    monkeypatch.setattr(fn, "_convexity", convexity)
-    suite = inequalities.run_inequality_suite(basis, A, rho, n, opts, 200, 11)
+    monkeypatch.setattr(inequalities, "_convexity", convexity)
+    suite = inequalities.run_inequality_suite(A, rho, n, opts.tol_l2, 200, 11)
     for got, want in zip(suite[:4], oracle_suite(basis, rho, 200, 11)):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
@@ -323,15 +339,16 @@ def test_stacked_peierls_finds_one_non_orthogonal_rotation():
     rng = np.random.default_rng(6)
     ops = [random_psd(rng, basis) for _ in range(40)]
     rotations = np.array([haar_rotation(rng, basis.D) for _ in range(40)])
-    assert all(fn._peierls(op.matrix, op.eigenvalues, rotations).holds for op in ops)
+    assert all(inequalities._peierls(op.matrix, op.eigenvalues, rotations)[2].all()
+               for op in ops)
     rotations[33] *= 1.0 + 1e-8
     for op in ops:
         with pytest.raises(ValueError, match="not orthogonal"):
-            fn._peierls(op.matrix, op.eigenvalues, rotations)
+            inequalities._peierls(op.matrix, op.eigenvalues, rotations)
     rotations[33] = np.nan  # NaN passes a test such as error > tol
     for op in ops:
         with pytest.raises(ValueError, match="not orthogonal"):
-            fn._peierls(op.matrix, op.eigenvalues, rotations)
+            inequalities._peierls(op.matrix, op.eigenvalues, rotations)
 
 
 def test_stacked_convexity_rejects_a_weight_outside_the_segment():
@@ -341,7 +358,7 @@ def test_stacked_convexity_rejects_a_weight_outside_the_segment():
     m = np.array([op.matrix for op in ops])
     lam = np.array([op.eigenvalues for op in ops])
     with pytest.raises(ValueError, match="strictly inside"):
-        fn._convexity(m[0], lam[0], m[::-1], lam[::-1], np.array([0.5, 1.0, 0.5]))
+        inequalities._convexity(m[0], lam[0], m[::-1], lam[::-1], np.array([0.5, 1.0, 0.5]))
 
 
 def test_stacked_reductions_match_per_slice_dot_products():
@@ -368,28 +385,29 @@ def test_stacked_reductions_match_per_slice_dot_products():
     distinct = np.array([np.linalg.norm(a - b) for a, b in zip(m, m2)]) > 1e-8
     assert not distinct[5]
     for i in range(len(ops)):
-        convexity = fn._convexity(m[i], lam[i], m2[i:i + 1], lam2[i:i + 1], np.array([0.5]))
-        assert convexity.strict == (distinct[i] and convexity.rhs - convexity.lhs > 1e-12)
+        lhs, rhs, _, strict = inequalities._convexity(m[i], lam[i], m2[i:i + 1], lam2[i:i + 1],
+                                                      np.array([0.5]))
+        assert strict[0] == (distinct[i] and rhs[0] - lhs[0] > 1e-12)
 
 
 def test_report_is_the_smallest_gap_sample_holding_iff_every_sample_holds():
     # gaps 1, 1, 3: the tie goes to the first sample, whatever holds and
     # strict say of the others
     lhs, rhs = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 5.0])
-    rep = fn._report("x", lhs, rhs, np.array([True, True, True]),
+    rep = inequalities._report("x", lhs, rhs, np.array([True, True, True]),
                      strict=np.array([False, True, True]))
-    assert rep == fn.InequalityReport("x", 0.0, 1.0, 1.0, True, strict=False)
+    assert rep == inequalities.InequalityReport("x", 0.0, 1.0, 1.0, True, strict=False)
     # one failing sample, not the smallest-gap one, fails the report
-    rep = fn._report("x", lhs, rhs, np.array([True, True, False]))
-    assert rep == fn.InequalityReport("x", 0.0, 1.0, 1.0, False)
+    rep = inequalities._report("x", lhs, rhs, np.array([True, True, False]))
+    assert rep == inequalities.InequalityReport("x", 0.0, 1.0, 1.0, False)
     # strict is the chosen sample's
-    rep = fn._report("x", lhs, np.array([3.0, 2.0, 2.5]), np.array([True, True, True]),
+    rep = inequalities._report("x", lhs, np.array([3.0, 2.0, 2.5]), np.array([True, True, True]),
                      strict=np.array([False, True, False]))
-    assert rep == fn.InequalityReport("x", 2.0, 2.5, 0.5, True, strict=False)
-    rep = fn._report("x", lhs, np.array([3.0, 1.5, 2.5]), np.array([True, True, True]),
+    assert rep == inequalities.InequalityReport("x", 2.0, 2.5, 0.5, True, strict=False)
+    rep = inequalities._report("x", lhs, np.array([3.0, 1.5, 2.5]), np.array([True, True, True]),
                      strict=np.array([False, True, False]))
-    assert rep == fn.InequalityReport("x", 1.0, 1.5, 0.5, True, strict=True)
+    assert rep == inequalities.InequalityReport("x", 1.0, 1.5, 0.5, True, strict=True)
     # scalars are one sample
-    rep = fn._report("x", 1.0, 3.0, True)
-    assert rep == fn.InequalityReport("x", 1.0, 3.0, 2.0, True)
+    rep = inequalities._report("x", 1.0, 3.0, True)
+    assert rep == inequalities.InequalityReport("x", 1.0, 3.0, 2.0, True)
     assert type(rep.lhs) is float and type(rep.holds) is bool

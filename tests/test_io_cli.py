@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qmaxwell as qm
-from qmaxwell import functionals as fn
 from qmaxwell import io_cli, maxwellian_solver
 from qmaxwell.errors import (
     BasisTooSmall,
@@ -274,6 +273,51 @@ def test_expression_rejects_unresolvable_wavenumber(b4):
         io_cli.potential_from_expression("cos(2*pi*9*x)", b4)
 
 
+def test_cli_zero_wavenumber_is_reported_for_its_cause(tmp_path, capsys):
+    # a zero wavenumber was told to raise --modes, which can never help
+    out = tmp_path / "n.csv"
+    for expr in ("cos(2*pi*0*x)", "0.5*sin(2*pi*0*x)"):
+        capsys.readouterr()
+        assert run_cli("forward", "--modes", "8", "--potential", expr, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "wavenumbers start at 1" in err and "plain number" in err, err
+        assert "--modes" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header", ["x,n", "x,a"])
+def test_csv_with_a_byte_order_mark_reads_as_without_one(tmp_path, b4, header):
+    # spreadsheet exports start with a UTF-8 byte-order mark, which made the
+    # header read as '\ufeffx,n' and the file a MalformedRow at line 1
+    text = header + "\n" + "".join(
+        f"{j / b4.N!r},{1.0 + 0.25 * float(np.cos(2 * np.pi * j / b4.N))!r}\n"
+        for j in range(b4.N))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    if header == "x,n":
+        read = [io_cli.parse_density_csv(p, b4).values for p in (plain, marked)]
+    else:
+        read = [io_cli.parse_potential(str(p), b4).coefficients for p in (plain, marked)]
+    assert np.array_equal(read[0], read[1])
+
+
+def test_cli_solve_reads_a_density_with_a_byte_order_mark(tmp_path):
+    density = tmp_path / "n.csv"
+    assert run_cli("forward", "--potential", "cos(2*pi*x)", "--modes", "8",
+                   "--out", str(density)) == 0
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + density.read_bytes())
+    reports = []
+    for path in (density, marked):
+        out = tmp_path / f"{path.stem}.json"
+        assert run_cli("solve", "--density", str(path), "--modes", "8", "--out", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_potential_file_matches_expression(tmp_path, b4):
     x = b4.grid
     path = tmp_path / "pot.csv"
@@ -301,7 +345,7 @@ def test_report_json_roundtrip(b4):
         qm.gibbs_from_potential(b4, io_cli.potential_from_expression("0.5*cos(2*pi*x)", b4))))
     opts = qm.SolverOptions()
     A, rho, report = qm.solve_maxwellian(n, opts)
-    inequalities = run_inequality_suite(b4, A, rho, n, opts, samples=10, seed=3)
+    inequalities = run_inequality_suite(A, rho, n, opts.tol_l2, samples=10, seed=3)
     payload = io_cli.build_report_dict(opts, report, A, inequalities)
     text = io_cli.serialize_report(payload)
     assert io_cli.parse_report(text) == payload
@@ -586,7 +630,7 @@ def test_cli_verify_exits_1_and_writes_the_failed_inequality(tmp_path, monkeypat
     density = tmp_path / "n.csv"
     assert run_cli("forward", "--potential", "0.8*cos(2*pi*x)", "--modes", "4",
                    "--out", str(density)) == 0
-    failed = fn.InequalityReport(name="lieb", lhs=2.0, rhs=1.0, gap=-1.0, holds=False)
+    failed = qm.InequalityReport(name="lieb", lhs=2.0, rhs=1.0, gap=-1.0, holds=False)
     monkeypatch.setattr(io_cli, "run_inequality_suite", lambda *args: [failed])
     out = tmp_path / "v.json"
     assert run_cli("verify", "--density", str(density), "--modes", "4",
