@@ -137,8 +137,10 @@ def reconstruct_potential_form(rho: DensityOperator, n: DensityProfile, psi):
     on a negative spectrum.  At rho = exp(-(H+A)) with n = n[rho] this equals
     integral of A psi for every periodic test psi.  ``psi`` is one grid
     function (N,), giving a float, or a stack (P, N), giving P values.
+    ``n`` on another basis raises BasisMismatch.
     """
     basis = rho.basis
+    _check_same_basis(basis, n.basis)
     psi = np.asarray(psi, dtype=float)
     if psi.ndim not in (1, 2) or psi.shape[-1] != basis.N:
         raise ValueError(f"psi must be sampled on the {basis.N}-point grid")

@@ -8,10 +8,11 @@ coarser one.  Solver output is a JSON report that round-trips losslessly
 1 a failed ``verify`` inequality, 2 iteration budget exhausted, 3 invalid
 input (including a mode cutoff too small for the density, a potential that
 is not finite in double precision and an output that cannot be written), 64
-usage error.  ``solve`` and ``verify`` write the report for the last
-iterate, with the density its residual was measured on, on exit 2 and on a
-too-small basis as well; ``sweep-epsilon`` then writes the rows finished
-before the failed solve.
+usage error.  Exits 2 and 3 print one stderr line, ``error: <message>``;
+a usage error prints it above the usage.  ``solve`` and ``verify`` write
+the report for the last iterate, with the density its residual was
+measured on, on exit 2 and on a too-small basis as well;
+``sweep-epsilon`` then writes the rows finished before the failed solve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import os
 import re
 import sys
@@ -61,8 +61,6 @@ __all__ = [
     "cli_dispatch",
     "main",
 ]
-
-log = logging.getLogger("qmaxwell.cli")
 
 EXIT_OK = 0
 EXIT_MAXITER = 2
@@ -337,15 +335,6 @@ def _build_parser():
     return parser
 
 
-def _configure_logging():
-    level = {"error": logging.ERROR, "warn": logging.WARNING,
-             "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("QMAXWELL_LOG", "warn").lower(), logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(name)s %(levelname)s %(message)s")
-    logging.getLogger("qmaxwell").setLevel(level)
-
-
 def _cmd_forward(args) -> int:
     basis = build_basis(args.modes)
     A = parse_potential(args.potential, basis)
@@ -362,7 +351,7 @@ def _cmd_solve(args) -> int:
     try:
         A, rho, report = solve_maxwellian(n, opts)
     except (MaxIterExceeded, BasisTooSmall) as exc:
-        log.error("%s", exc)
+        print(f"error: {exc}", file=sys.stderr)
         failure, A, report = exc, exc.potential, exc.report
         code = EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
     if failure is None and args.command == "verify":
@@ -399,14 +388,13 @@ def _cmd_sweep(args) -> int:
                 fh.write(f"{float(row.epsilon)!r},{float(row.residual_l2)!r},"
                          f"{float(row.f_eps)!r},{float(row.a_dist_hminus1)!r}\n")
         except (MaxIterExceeded, BasisTooSmall) as exc:
-            log.error("%s", exc)
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER
     return EXIT_OK
 
 
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

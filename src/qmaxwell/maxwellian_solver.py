@@ -15,7 +15,8 @@ equation gives that A in closed form.  The semiclassical guess
 J is not finite.  Each Newton step solves with the dense matrix
 -Hess J + 1e-12 I once its Cholesky factorization shows it positive
 definite; the step falls back to the gradient when that factorization
-fails or the slope is not positive.  From the first iterate within tol
+fails or the slope is not positive, and its history entry's ``direction``
+reads "newton" or "gradient" accordingly.  From the first iterate within tol
 the loop's last step is the refinement, kept iff it shrinks the stopping
 measure by more than its rounding scale and not computed within that
 scale, so a smooth solve that starts at that floor builds no dense
@@ -43,7 +44,6 @@ gradient norm; the report keeps its density, which residual_l2 measures.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +80,6 @@ __all__ = [
     "fourier_decay_diagnostic",
 ]
 
-log = logging.getLogger("qmaxwell.solver")
-
 DEFAULT_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -113,6 +111,7 @@ class HistoryEntry:
     residual: float
     step_size: float
     objective: float
+    direction: str  # "newton", or "gradient" for the fallback
 
 
 @dataclass(frozen=True)
@@ -210,8 +209,8 @@ def _ascent_direction(state: GibbsState):
     S = -Hess J_eps + NEWTON_SHIFT I = -Hess J + (NEWTON_SHIFT + eps) I by
     one LU solve, once S is finite and its Cholesky factorization shows it
     positive definite (that test alone lets a NaN entry through).  The
-    fallback is the gradient g itself, taken when S fails either test or
-    the slope is not positive."""
+    fallback is the gradient array g itself, so ``d is g`` marks it, taken
+    when S fails either test or the slope is not positive."""
     g = state.grad_coeffs
     S = -_hessian_from_spectrum(state)
     S.flat[::S.shape[0] + 1] += NEWTON_SHIFT + state.eps
@@ -221,7 +220,6 @@ def _ascent_direction(state: GibbsState):
         np.linalg.cholesky(S)
         d = np.linalg.solve(S, g)
     except np.linalg.LinAlgError:
-        log.info("Newton matrix not positive definite; falling back to gradient ascent")
         d = g
     slope = float(g @ d)
     if not slope > 0.0:  # a NaN slope (an overflowed solve) fails too
@@ -251,20 +249,21 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initi
     tol = max(opts.tol_l2, scale) if eps > 0.0 else opts.tol_l2
     state = _cold_start(n, eps) if initial is None else _evaluate(n, initial, eps)
     history = []
-    for iteration in range(opts.max_iter):
+    for _ in range(opts.max_iter):
         measure = _stopping_measure(state)
         # an overflowed measure never converges, even against an inf scale
         converged = measure < np.inf and measure <= tol
         if converged and measure <= scale:
             return state, history
         d, slope = _ascent_direction(state)
+        direction = "gradient" if d is state.grad_coeffs else "newton"
         alpha = 1.0
         trial = _evaluate(n, state.potential.coefficients + d, eps)
         if converged:
             if _stopping_measure(trial) < measure - scale:
                 state = trial
                 history.append(HistoryEntry(residual=state.residual_l2, step_size=1.0,
-                                            objective=state.objective))
+                                            objective=state.objective, direction=direction))
             return state, history
         # sub-ulp objective gains cannot be certified; the slack keeps the
         # Armijo test meaningful once J saturates in double precision
@@ -298,9 +297,7 @@ def _dual_ascent(n: DensityProfile, opts: SolverOptions, eps: float = 0.0, initi
         if np.isfinite(trial.objective):  # an exhausted search never moves to NaN or inf
             state = trial
         history.append(HistoryEntry(residual=state.residual_l2, step_size=alpha,
-                                    objective=state.objective))
-        log.debug("iter %d: residual %.3e, step %.3e, J %.12g",
-                  iteration + 1, state.residual_l2, alpha, state.objective)
+                                    objective=state.objective, direction=direction))
     error = _stopping_measure(state)
     if error < np.inf and error <= tol:
         return state, history

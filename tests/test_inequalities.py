@@ -240,6 +240,17 @@ def test_suite_rejects_a_potential_or_density_off_rhos_basis(monkeypatch):
     assert checked == []
 
 
+def test_reconstruction_rejects_a_density_off_rhos_basis():
+    # build_basis(5) shares build_basis(4)'s 32-point grid, so psi / n
+    # broadcasts and the form returned a number for a density on another basis
+    basis, _, rho, _ = solved_at(4)
+    other = qm.build_basis(5)
+    assert other.N == basis.N
+    with pytest.raises(qm.BasisMismatch):
+        qm.reconstruct_potential_form(rho, qm.DensityProfile(other, np.ones(other.N)),
+                                      basis.functions[1])
+
+
 _ONE_CPU_SUITES = """
 import dataclasses, json, os, sys
 if hasattr(os, "sched_setaffinity"):

@@ -846,11 +846,17 @@ def test_cli_bad_schedule_is_a_value_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_runtime_loads_no_scipy(tmp_path):
-    # a fresh interpreter: the test suite itself imports SciPy
+def _python(args, cwd, **env):
+    """``python *args`` in a fresh interpreter with the package on its path:
+    the test suite itself imports SciPy and logging."""
     src = str(Path(qm.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_runtime_loads_no_scipy(tmp_path):
     # nor does any command, verify included, load an executor or start a thread
     script = (
         "import sys, threading\n"
@@ -868,27 +874,64 @@ def test_runtime_loads_no_scipy(tmp_path):
         " '--samples', '5', '--out', 'v.json']) == 0\n"
         "assert pool() == (False, False), pool()\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _python(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# at M = 8 its solve takes more than one Newton step, and at tol_l2 = 1e-14
+# it exhausts the default budget
+_STEEP = "40*cos(2*pi*x)+30*sin(2*pi*3*x)"
+
+
+def test_cli_loads_no_logging(tmp_path):
+    # the CLI leaves the caller's logging alone: neither a command nor a
+    # solver failure imports it
+    script = (
+        "import sys\n"
+        "import qmaxwell\n"
+        "from qmaxwell.io_cli import cli_dispatch\n"
+        f"assert cli_dispatch(['forward', '--potential', {_STEEP!r}, '--modes', '8',"
+        " '--out', 'n.csv']) == 0\n"
+        "assert cli_dispatch(['solve', '--density', 'n.csv', '--modes', '8',"
+        " '--max-iter', '1', '--out', 'r.json']) == 2\n"
+        "print('logging' in sys.modules)\n")
+    proc = _python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--density", "n.csv", "--modes", "8", "--max-iter", "1"], 2),
+    (["verify", "--density", "n.csv", "--modes", "8", "--tol", "1e-14"], 2),
+    (["sweep-epsilon", "--density", "n.csv", "--modes", "8", "--tol", "1e-14"], 2),
+    (["solve", "--density", "bump.csv", "--modes", "32"], 3),  # README's Gaussian
+], ids=["solve-max-iter", "verify-max-iter", "sweep-max-iter", "solve-basis-too-small"])
+def test_solver_failure_prints_one_error_line(tmp_path, argv, code):
+    # MaxIterExceeded and BasisTooSmall print the one "error: " line every
+    # other failure prints, and the command still writes its output
+    assert run_cli("forward", "--potential", _STEEP, "--modes", "8",
+                   "--out", str(tmp_path / "n.csv")) == 0
+    x = np.arange(256) / 256
+    write_density(tmp_path / "bump.csv", 1e-2 + np.exp(-50 * (x - 0.5) ** 2))
+    out = tmp_path / ("out.csv" if argv[0] == "sweep-epsilon" else "out.json")
+    proc = _python(["-m", "qmaxwell", *argv, "--out", out.name], tmp_path,
+                   PYTHONWARNINGS="error::RuntimeWarning")
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if argv[0] == "sweep-epsilon":  # the reference solve fails: no row is finished
+        assert out.read_text() == "epsilon,residual_l2,F_eps,A_dist_hminus1\n"
+        return
+    report = json.loads(out.read_text())
+    assert len(report["history"]) == report["result"]["iterations"] >= 1
+    assert {h["direction"] for h in report["history"]} <= {"newton", "gradient"}
 
 
 def test_python_m_qmaxwell_runs_the_cli(tmp_path):
     # runpy warns when the package imports the module it is asked to run,
     # and the warning filter makes that an exit 1 before any parsing
-    src = str(Path(qm.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
-    proc = subprocess.run([sys.executable, "-m", "qmaxwell", "--help"], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _python(["-m", "qmaxwell", "--help"], tmp_path,
+                   PYTHONWARNINGS="error::RuntimeWarning")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: qmaxwell ")
-
-
-def test_cli_logging_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QMAXWELL_LOG", "debug")
-    out = tmp_path / "n.csv"
-    assert run_cli("forward", "--potential", "zero", "--modes", "2",
-                   "--out", str(out)) == 0

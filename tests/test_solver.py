@@ -127,6 +127,28 @@ def test_newton_falls_back_to_gradient_when_not_positive_definite(b4, monkeypatc
         assert slope == float(g @ g)
 
 
+def test_history_records_each_step_direction(b4, monkeypatch):
+    # the pure-state start is within tol_l2 but above the rounding scale, so
+    # the solve takes one step, the refinement; with the Newton matrix not
+    # positive definite, as above, that step is the gradient fallback
+    _, n = forward(b4, lambda x: 0.7 * np.cos(2 * np.pi * x) + 0.2 * np.sin(6 * np.pi * x))
+    _, _, report = qm.solve_maxwellian(n)
+    assert [h.direction for h in report.history] == ["newton"]
+    # the loop's own steps: this density stops at a too-small basis after
+    # several (four at the time of writing)
+    b12 = qm.build_basis(12)
+    with pytest.raises(BasisTooSmall) as info:
+        qm.solve_maxwellian(qm.DensityProfile(b12, 1.0 + 0.6 * np.cos(2 * np.pi * b12.grid)
+                                              + 0.1 * np.sin(6 * np.pi * b12.grid)))
+    directions = [h.direction for h in info.value.report.history]
+    assert len(directions) >= 2 and set(directions) == {"newton"}
+    monkeypatch.setattr(maxwellian_solver, "_hessian_from_spectrum",
+                        lambda state: np.eye(state.potential.basis.D))
+    _, _, report = qm.solve_maxwellian(n)
+    assert [h.direction for h in report.history] == ["gradient"]
+    assert report.residual_l2 <= 1e-9
+
+
 def test_overflowed_newton_solve_falls_back_to_gradient(b4):
     # n spans 5e-324 to 1e300: from the semiclassical guess the gradient is
     # about 1e298, the Newton matrix is positive definite, and its solve
@@ -226,8 +248,9 @@ def _refine_always(n, state, eps):
     scale = np.finfo(float).eps * np.linalg.norm(n.values) / (eps if eps > 0.0 else 1.0)
     measure = maxwellian_solver._stopping_measure
     if measure(trial) < measure(state) - scale:
+        direction = "gradient" if d is state.grad_coeffs else "newton"
         entry = maxwellian_solver.HistoryEntry(residual=trial.residual_l2, step_size=1.0,
-                                               objective=trial.objective)
+                                               objective=trial.objective, direction=direction)
         return trial, [entry]
     return state, []
 
