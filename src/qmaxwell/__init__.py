@@ -18,7 +18,6 @@ from .errors import (
     NotPositiveSemidefinite,
     PotentialExprError,
     QMaxwellError,
-    SingularDensityOperator,
     SolverError,
 )
 from .functionals import (
@@ -26,7 +25,6 @@ from .functionals import (
     dual_functional,
     dual_gradient,
     dual_hessian_apply,
-    dual_hessian_matrix,
     free_energy,
     gateaux_entropy_derivative,
     gibbs_from_potential,
@@ -36,7 +34,6 @@ from .inequalities import (
     InequalityReport,
     convexity_probe,
     eigenvalue_perturbation_check,
-    entropy_lower_bound_ratio,
     log_sobolev_gap,
     reconstruct_potential_form,
     validate_lieb,
@@ -45,7 +42,6 @@ from .inequalities import (
 from .io_cli import (
     cli_dispatch,
     parse_density_csv,
-    parse_report,
     potential_from_expression,
     serialize_report,
     write_density_csv,
@@ -57,7 +53,6 @@ from .maxwellian_solver import (
     SolverOptions,
     epsilon_sweep,
     euler_lagrange_residual,
-    fourier_decay_diagnostic,
     solve_maxwellian,
     solve_penalized,
 )
@@ -66,17 +61,12 @@ from .spectral_core import (
     DensityOperator,
     DensityProfile,
     SpectralBasis,
-    SpectralDecomposition,
     assemble_hamiltonian_plus_potential,
     build_basis,
     density_of,
     energy_trace,
     entropy_trace,
-    hs_norm,
-    kernel_eval,
-    matrix_entropy_function,
     sobolev_norm,
-    symmetric_eigendecompose,
     trace_norm,
 )
 

@@ -9,9 +9,6 @@ class NotPositiveSemidefinite(QMaxwellError):
     """An operator that must be PSD has an eigenvalue below tolerance."""
 
 
-SingularDensityOperator = NotPositiveSemidefinite  # former name, for existing except clauses
-
-
 class NonPositiveDensity(QMaxwellError):
     """A density profile touches zero or goes negative somewhere."""
 

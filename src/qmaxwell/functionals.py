@@ -46,7 +46,6 @@ __all__ = [
     "dual_functional",
     "dual_gradient",
     "dual_hessian_apply",
-    "dual_hessian_matrix",
     "gateaux_entropy_derivative",
 ]
 
@@ -214,11 +213,6 @@ def _hessian_from_spectrum(state: GibbsState) -> np.ndarray:
         coupling[:, k:] *= 2.0
         H = -(W * coupling.ravel()) @ W.T
         return 0.5 * (H + H.T)
-
-
-def dual_hessian_matrix(A: ChemicalPotential) -> np.ndarray:
-    """D x D matrix of second derivatives of J in basis coefficients."""
-    return _hessian_from_spectrum(GibbsState(A))
 
 
 def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float:

@@ -27,7 +27,6 @@ from .spectral_core import (
     _xlogx,
     density_of,
     energy_trace,
-    entropy_trace,
     sobolev_norm,
     trace_norm,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "InequalityReport",
     "validate_lieb",
     "validate_peierls",
-    "entropy_lower_bound_ratio",
     "log_sobolev_gap",
     "convexity_probe",
     "eigenvalue_perturbation_check",
@@ -75,18 +73,6 @@ def validate_peierls(rho: DensityOperator, basis_rotation) -> InequalityReport:
     at most Tr beta(rho).  gap = rhs - lhs >= 0."""
     R = np.asarray(basis_rotation, dtype=float)
     return _report("peierls", *_peierls(rho.matrix, rho.eigenvalues, R[None]))
-
-
-def entropy_lower_bound_ratio(rho: DensityOperator):
-    """Ratio max(0, -entropy) / sqrt(kinetic trace), or None at zero energy.
-
-    The matching constant in the entropy lower bound is not pinned down
-    analytically, so callers assert an empirical ceiling on sweeps.
-    """
-    energy = energy_trace(rho)
-    if energy <= 1e-12:
-        return None
-    return float(max(0.0, -entropy_trace(rho, 0.0)) / np.sqrt(energy))
 
 
 def log_sobolev_gap(rho: DensityOperator) -> InequalityReport:

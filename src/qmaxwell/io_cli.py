@@ -57,7 +57,6 @@ __all__ = [
     "potential_from_expression",
     "build_report_dict",
     "serialize_report",
-    "parse_report",
     "cli_dispatch",
     "main",
 ]
@@ -265,10 +264,6 @@ def serialize_report(report_dict: dict) -> str:
     """RFC 8259 JSON: a non-finite float, such as the residual of a solve
     that overflowed, is written as null."""
     return json.dumps(_finite_or_null(report_dict), indent=2, allow_nan=False) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ __all__ = [
     "solve_penalized",
     "epsilon_sweep",
     "euler_lagrange_residual",
-    "fourier_decay_diagnostic",
 ]
 
 DEFAULT_SCHEDULE = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -422,12 +421,3 @@ def euler_lagrange_residual(rho: DensityOperator, A: ChemicalPotential) -> float
     X = (t[:, None] * t[None, :]) * Kt + np.diag(_xlogx(lam))
     with np.errstate(over="ignore"):  # an overflowed norm reads inf
         return float(np.linalg.norm(X))
-
-
-def fourier_decay_diagnostic(A: ChemicalPotential):
-    """Per-wavenumber coefficient magnitudes of A, for regularity reporting."""
-    c = A.coefficients
-    rows = [(0, abs(float(c[0])))]
-    for k in range(1, A.basis.M + 1):
-        rows.append((k, float(np.hypot(c[2 * k - 1], c[2 * k]))))
-    return rows

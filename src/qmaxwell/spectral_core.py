@@ -42,17 +42,12 @@ __all__ = [
     "DensityOperator",
     "DensityProfile",
     "ChemicalPotential",
-    "SpectralDecomposition",
     "build_basis",
     "assemble_hamiltonian_plus_potential",
-    "symmetric_eigendecompose",
     "density_of",
-    "kernel_eval",
     "energy_trace",
     "trace_norm",
-    "hs_norm",
     "sobolev_norm",
-    "matrix_entropy_function",
     "entropy_trace",
     "spectral_derivative",
 ]
@@ -111,10 +106,6 @@ class SpectralBasis:
         """Coefficients c_p = integral of u * e_p by quadrature."""
         return self.functions @ np.asarray(values, dtype=float) / self.N
 
-    def functions_at(self, x) -> np.ndarray:
-        """Basis values at arbitrary points, shape (D, len(x))."""
-        return _eval_functions(self.M, x)
-
     def wavenumbers(self) -> np.ndarray:
         """Wavenumber of each basis index: 0, 1, 1, 2, 2, ..."""
         return (np.arange(self.D) + 1) // 2
@@ -123,17 +114,17 @@ class SpectralBasis:
 def build_basis(M: int, N: int | None = None) -> SpectralBasis:
     """Basis with mode cutoff M; N defaults to the smallest power of two >= 4M+2.
 
-    N < 4M+1 is rejected: the square of a density, degree <= 4M, would
-    alias on a coarser grid.
+    M and N must be integers.  N < 4M+1 is rejected: the square of a
+    density, degree <= 4M, would alias on a coarser grid.
     """
-    if M < 1:
-        raise ValueError(f"mode cutoff must be >= 1, got {M}")
+    _integer_at_least("mode cutoff", M, 1)
     if N is None:
         N = 1
         while N < 4 * M + 2:
             N *= 2
-    if N < 4 * M + 1:
+    if isinstance(N, numbers.Integral) and N < 4 * M + 1:
         raise ValueError(f"grid size {N} < 4M+1 = {4 * M + 1} aliases squared densities")
+    _integer_at_least("grid size", N, 4 * M + 1)
     grid = np.arange(N) / N
     k = (np.arange(2 * M + 1) + 1) // 2
     h_eigenvalues = (2.0 * np.pi * k) ** 2
@@ -302,14 +293,6 @@ class ChemicalPotential:
         return cls.from_grid(basis, f(basis.grid))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues with an orthogonal column matrix of eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def assemble_hamiltonian_plus_potential(basis: SpectralBasis,
                                         A: ChemicalPotential) -> np.ndarray:
     """Galerkin matrix K_pq = mu_p delta_pq + integral of A e_p e_q.
@@ -378,38 +361,6 @@ def _galerkin_gather(M: int):
     return I, J, s1, s2
 
 
-def symmetric_eigendecompose(matrix: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a real symmetric matrix, deterministically ordered.
-
-    Eigenvalues come out ascending.  Within a numerically degenerate cluster
-    (gap <= 1e-10 * (1 + |lambda|)) columns are sign-fixed so their first
-    significant entry is positive, then ordered lexicographically; cos/sin
-    pairs at the same wavenumber make such clusters generic.
-    """
-    m = np.asarray(matrix, dtype=float)
-    _check_finite_symmetric(m, "matrix")
-    lam, V = np.linalg.eigh(0.5 * (m + m.T))
-    V = V.copy()
-    D = lam.size
-    for j in range(D):
-        col = V[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.max(np.abs(col))))[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, j] = -col
-    # reorder inside degenerate clusters
-    start = 0
-    while start < D:
-        stop = start + 1
-        while stop < D and lam[stop] - lam[stop - 1] <= 1e-10 * (1.0 + abs(lam[stop])):
-            stop += 1
-        if stop - start > 1:
-            order = sorted(range(start, stop), key=lambda j: tuple(V[:, j]))
-            lam[start:stop] = lam[order]
-            V[:, start:stop] = V[:, order]
-        start = stop
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
-
-
 def density_of(rho: DensityOperator) -> np.ndarray:
     """Local density n(x_j) = sum_pq rho_pq e_p(x_j) e_q(x_j).
 
@@ -420,33 +371,16 @@ def density_of(rho: DensityOperator) -> np.ndarray:
     return np.einsum("pj,pj->j", E, rho.matrix @ E)
 
 
-def kernel_eval(rho: DensityOperator, x, y) -> float:
-    """Integral kernel rho(x, y) = sum_pq rho_pq e_p(x) e_q(y)."""
-    ex = rho.basis.functions_at(x)
-    ey = rho.basis.functions_at(y)
-    val = np.einsum("pi,pq,qi->i", ex, rho.matrix, ey)
-    return float(val[0]) if val.size == 1 else val
-
-
 def energy_trace(rho: DensityOperator) -> float:
     """Kinetic trace Tr(sqrt(H) rho sqrt(H)) = sum_p mu_p rho_pp (H is diagonal)."""
     return float(np.sum(np.diagonal(rho.matrix) * rho.basis.h_eigenvalues))
 
 
-def _as_matrix(op):
-    return op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=float)
-
-
 def trace_norm(op) -> float:
     """J1 norm: sum of absolute eigenvalues of a symmetric matrix, or an
     array of them for a stack (s, D, D)."""
-    norms = np.sum(np.abs(np.linalg.eigvalsh(_as_matrix(op))), axis=-1)
+    norms = np.sum(np.abs(np.linalg.eigvalsh(np.asarray(op, dtype=float))), axis=-1)
     return float(norms) if norms.ndim == 0 else norms
-
-
-def hs_norm(op) -> float:
-    """J2 (Hilbert-Schmidt/Frobenius) norm."""
-    return float(np.linalg.norm(_as_matrix(op)))
 
 
 def _grid_spectrum(values):
@@ -509,15 +443,9 @@ def _beta_eta(s, eta):
     return (s + eta) * np.log(s + eta) - s - eta * np.log(eta)
 
 
-def matrix_entropy_function(rho: DensityOperator, eta: float = 0.0) -> np.ndarray:
-    """Spectral application of the (regularized) entropy integrand to rho."""
-    lam, V = rho.eigenpairs
-    return _compose(V, _beta_eta(lam, eta))
-
-
 def entropy_trace(rho: DensityOperator, eta: float = 0.0) -> float:
-    """Tr beta_eta(rho); equals the trace of :func:`matrix_entropy_function`.
-    Reads the spectrum the constructor computed and checked for PSD."""
+    """Tr beta_eta(rho), read from the spectrum the constructor computed and
+    checked for PSD."""
     return float(_spectral_entropy(rho.eigenvalues, eta))
 
 

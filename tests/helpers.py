@@ -4,7 +4,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from qmaxwell import ChemicalPotential, DensityOperator
+from qmaxwell import ChemicalPotential, DensityOperator, spectral_core
+from qmaxwell.functionals import GibbsState, _hessian_from_spectrum
 from qmaxwell.inequalities import _rotations
 
 
@@ -35,6 +36,11 @@ def random_potential(rng, basis, max_wavenumber, bound):
     return ChemicalPotential(basis, coeffs)
 
 
+def hessian_matrix(A):
+    """The D x D Hessian of J at A that the Newton step solves with."""
+    return _hessian_from_spectrum(GibbsState(A))
+
+
 def random_symmetric(rng, D, scale=1.0):
     W = rng.standard_normal((D, D)) * scale
     return 0.5 * (W + W.T)
@@ -54,8 +60,6 @@ def basis_derivatives(basis):
 
 def h1_seminorm_sq(basis, values):
     """Discrete H^1 seminorm squared via the spectral derivative."""
-    from qmaxwell import spectral_core
-
     du = spectral_core.spectral_derivative(values)
     return basis.quadrature(du * du)
 
@@ -80,6 +84,6 @@ def fd_gibbs_projection(a_func, basis, points=4096, pairs=14):
                             v0=np.ones(points))
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    E = basis.functions_at(x)
+    E = spectral_core._eval_functions(basis.M, x)
     C = (E @ vecs) * np.sqrt(h)
     return (C * np.exp(-vals)) @ C.T

@@ -15,27 +15,24 @@ PUBLIC_NAMES = {
     "BasisMismatch", "BasisTooSmall", "ChemicalPotential", "DensityFileError",
     "DensityOperator", "DensityProfile", "DuplicatedEndpoint", "EpsilonSweepRow",
     "FunctionalValue", "HistoryEntry", "InequalityReport", "MalformedRow",
-    "MaxIterExceeded", "NonPositiveDensity", "NonUniformGrid", "NotPositiveSemidefinite",
-    "PotentialExprError", "QMaxwellError", "SingularDensityOperator", "SolveReport",
-    "SolverError", "SolverOptions", "SpectralBasis", "SpectralDecomposition",
+    "MaxIterExceeded", "NonPositiveDensity", "NonUniformGrid",
+    "NotPositiveSemidefinite", "PotentialExprError", "QMaxwellError", "SolveReport",
+    "SolverError", "SolverOptions", "SpectralBasis",
     "assemble_hamiltonian_plus_potential", "build_basis", "cli_dispatch",
     "convexity_probe", "density_of", "dual_functional", "dual_gradient",
-    "dual_hessian_apply", "dual_hessian_matrix", "eigenvalue_perturbation_check",
-    "energy_trace", "entropy_lower_bound_ratio", "entropy_trace", "epsilon_sweep",
-    "euler_lagrange_residual", "fourier_decay_diagnostic", "free_energy",
-    "gateaux_entropy_derivative", "gibbs_from_potential", "hs_norm", "kernel_eval",
-    "log_sobolev_gap", "matrix_entropy_function", "parse_density_csv", "parse_report",
-    "penalized_free_energy", "potential_from_expression", "reconstruct_potential_form",
-    "serialize_report", "sobolev_norm", "solve_maxwellian", "solve_penalized",
-    "symmetric_eigendecompose", "trace_norm", "validate_lieb", "validate_peierls",
-    "write_density_csv",
+    "dual_hessian_apply", "eigenvalue_perturbation_check", "energy_trace",
+    "entropy_trace", "epsilon_sweep", "euler_lagrange_residual", "free_energy",
+    "gateaux_entropy_derivative", "gibbs_from_potential", "log_sobolev_gap",
+    "parse_density_csv", "penalized_free_energy", "potential_from_expression",
+    "reconstruct_potential_form", "serialize_report", "sobolev_norm",
+    "solve_maxwellian", "solve_penalized", "trace_norm", "validate_lieb",
+    "validate_peierls", "write_density_csv",
 }
 
 # the operator inequalities have one owner
 INEQUALITY_NAMES = (
-    "InequalityReport", "validate_lieb", "validate_peierls", "entropy_lower_bound_ratio",
-    "log_sobolev_gap", "convexity_probe", "eigenvalue_perturbation_check",
-    "reconstruct_potential_form",
+    "InequalityReport", "validate_lieb", "validate_peierls", "log_sobolev_gap",
+    "convexity_probe", "eigenvalue_perturbation_check", "reconstruct_potential_form",
 )
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(qm.__path__) if m.name != "__main__")
