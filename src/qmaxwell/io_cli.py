@@ -1,8 +1,8 @@
 """CSV/JSON serialization and the ``qmaxwell`` command-line surface.
 
-Density profiles travel as CSV with header ``x,n`` on a uniform periodic
-grid that excludes x = 1, with finite fields; ``parse_density_csv`` reads
-one on the basis grid or, when the file is finer, on its own grid, never a
+Densities (header ``x,n``) and potentials (``x,a``) travel as CSV on a
+uniform periodic grid that excludes x = 1, with finite fields, and are read
+on the basis grid or, when the file is finer, on its own grid, never a
 coarser one.  Solver output is a JSON report that round-trips losslessly
 (floats are written at full round-trip precision).  Exit codes: 0 success,
 1 a failed ``verify`` inequality, 2 iteration budget exhausted, 3 invalid
@@ -70,7 +70,7 @@ EXIT_USAGE = 64
 # ---------------------------------------------------------------------------
 # density / potential files
 
-def _read_uniform_csv(path, header, positive):
+def _read_uniform_csv(path, header):
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a spreadsheet's BOM is dropped
             lines = fh.read().splitlines()
@@ -107,39 +107,37 @@ def _read_uniform_csv(path, header, positive):
     if np.max(np.abs(xs - np.arange(rows) * h)) > 1e-9 * h:
         raise NonUniformGrid(
             f"x column must be j/{rows} for j = 0..{rows - 1} (uniform, starting at 0)")
-    if positive and np.min(vs) <= 0.0:
-        j = int(np.argmin(vs))
-        raise NonPositiveDensity(
-            f"density must be strictly positive; row at x={xs[j]:g} has n={vs[j]:g}")
-    return vs
+    return xs, vs
 
 
-def _resample(values, N):
-    """Fourier resample onto N points by scipy.signal.resample's formula: the
-    shorter length's unpaired Nyquist bin doubles (down) or halves (up)."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n == N:
-        return values
-    m = min(n, N)
-    X = np.fft.rfft(values)[: m // 2 + 1]
-    if m % 2 == 0:
-        X[m // 2] *= 2.0 if N < n else 0.5
-    return np.fft.irfft(X, n=N) * (N / n)
+def _on_grid(values, basis: SpectralBasis):
+    """(grid, values) of a file: one with more rows than ``basis``'s grid keeps
+    its own grid at the same cutoff; any other is upsampled to ``basis``'s grid
+    by trigonometric interpolation, scipy.signal.resample's formula."""
+    rows = values.size
+    if rows > basis.N:
+        basis = build_basis(basis.M, rows)
+    if rows == basis.N:
+        return basis, values
+    X = np.fft.rfft(values)
+    if rows % 2 == 0:
+        X[-1] *= 0.5
+    return basis, np.fft.irfft(X, n=basis.N) * (basis.N / rows)
 
 
 def parse_density_csv(path, basis: SpectralBasis) -> DensityProfile:
-    """Load a density CSV on the basis grid, trigonometrically upsampling a
-    coarser file; a file with more rows is read on its own grid at the same
-    cutoff, and the profile's ``basis`` says which grid was used."""
-    values = _read_uniform_csv(path, "x,n", positive=True)
-    if values.size > basis.N:
-        basis = build_basis(basis.M, values.size)
-    resampled = _resample(values, basis.N)
-    if np.min(resampled) <= 0.0:
+    """Load a density CSV on the grid :func:`_on_grid` picks; the profile's
+    ``basis`` says which grid was used."""
+    xs, values = _read_uniform_csv(path, "x,n")
+    if np.min(values) <= 0.0:
+        j = int(np.argmin(values))
+        raise NonPositiveDensity(
+            f"density must be strictly positive; row at x={xs[j]:g} has n={values[j]:g}")
+    basis, values = _on_grid(values, basis)
+    if np.min(values) <= 0.0:
         raise NonPositiveDensity(
             "density is no longer strictly positive after resampling to the basis grid")
-    return DensityProfile(basis, resampled)
+    return DensityProfile(basis, values)
 
 
 def write_density_csv(path, basis: SpectralBasis, values):
@@ -211,12 +209,13 @@ def potential_from_expression(expr: str, basis: SpectralBasis) -> ChemicalPotent
 
 
 def parse_potential(arg: str, basis: SpectralBasis) -> ChemicalPotential:
-    """Potential from a CSV file (header ``x,a``) if ``arg`` is a path, else
-    from the restricted expression grammar."""
+    """Potential from a CSV file (header ``x,a``) on the grid :func:`_on_grid`
+    picks if ``arg`` is a path, else from the restricted expression grammar."""
     if os.path.exists(arg):
-        values = _read_uniform_csv(arg, "x,a", positive=False)
+        _, values = _read_uniform_csv(arg, "x,a")
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            coeffs = basis.project(_resample(values, basis.N))
+            grid, values = _on_grid(values, basis)
+            coeffs = grid.project(values)
         return _finite_potential(basis, coeffs, f"potential file {arg}")
     return potential_from_expression(arg, basis)
 
@@ -233,15 +232,8 @@ def build_report_dict(opts: SolverOptions, report, A: ChemicalPotential,
             "tolerances": {"tol_l2": opts.tol_l2, "max_iter": opts.max_iter},
             "schedule": list(opts.epsilon_schedule),
         },
-        "result": {
-            "residual_l2": report.residual_l2,
-            "residual_hminus1": report.residual_hminus1,
-            "free_energy": report.free_energy,
-            "dual_value": report.dual_value,
-            "duality_gap": report.duality_gap,
-            "el_residual": report.el_residual,
-            "iterations": report.iterations,
-        },
+        "result": {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+                   if f.name not in ("history", "density")},
         "potential": {"fourier_coefficients": [float(c) for c in A.coefficients]},
         "density_achieved": {"values": [float(v) for v in report.density]},
         "inequalities": [dataclasses.asdict(r) for r in inequalities],
@@ -294,39 +286,31 @@ def _build_parser():
     parser = _Parser(prog="qmaxwell",
                      description="Inverse chemical-potential solver on the torus")
     sub = parser.add_subparsers(dest="command")
+    every = argparse.ArgumentParser(add_help=False)  # the flags of every command
+    every.add_argument("--modes", type=_int_at_least(1), required=True, metavar="M")
+    every.add_argument("--out", required=True)
+    # and those of the three commands that solve
+    solving = argparse.ArgumentParser(add_help=False, parents=[every])
+    solving.add_argument("--density", required=True)
+    solving.add_argument("--tol", type=float, default=1e-9)
 
-    def common(p):
-        p.add_argument("--modes", type=_int_at_least(1), required=True, metavar="M")
-
-    p_fwd = sub.add_parser("forward", help="density of exp(-(H+A))")
-    common(p_fwd)
+    p_fwd = sub.add_parser("forward", parents=[every], help="density of exp(-(H+A))")
     p_fwd.add_argument("--potential", required=True, metavar="FILE|EXPR")
-    p_fwd.add_argument("--out", required=True)
 
-    p_solve = sub.add_parser("solve", help="recover A from a density CSV")
-    common(p_solve)
-    p_solve.add_argument("--density", required=True)
-    p_solve.add_argument("--tol", type=float, default=1e-9)
+    p_solve = sub.add_parser("solve", parents=[solving], help="recover A from a density CSV")
     p_solve.add_argument("--max-iter", type=int, default=100)
-    p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--density-out", default=None)
 
-    p_verify = sub.add_parser("verify", help="solve, then run the inequality suite")
-    common(p_verify)
-    p_verify.add_argument("--density", required=True)
+    p_verify = sub.add_parser("verify", parents=[solving],
+                              help="solve, then run the inequality suite")
     p_verify.add_argument("--samples", type=_int_at_least(1), default=200)
     p_verify.add_argument("--seed", type=_int_at_least(0), default=0, metavar="U64")
-    p_verify.add_argument("--tol", type=float, default=1e-9)
-    p_verify.add_argument("--out", required=True)
     p_verify.set_defaults(max_iter=SolverOptions.max_iter, density_out=None)
 
-    p_sweep = sub.add_parser("sweep-epsilon", help="penalized continuation table")
-    common(p_sweep)
-    p_sweep.add_argument("--density", required=True)
+    p_sweep = sub.add_parser("sweep-epsilon", parents=[solving],
+                             help="penalized continuation table")
     p_sweep.add_argument("--schedule", default=None,
                          help="comma-separated descending epsilons")
-    p_sweep.add_argument("--tol", type=float, default=1e-9)
-    p_sweep.add_argument("--out", required=True)
     return parser
 
 
@@ -380,8 +364,7 @@ def _cmd_sweep(args) -> int:
         fh.write("epsilon,residual_l2,F_eps,A_dist_hminus1\n")
         try:
             for row in _sweep_rows(n, opts):
-                fh.write(f"{float(row.epsilon)!r},{float(row.residual_l2)!r},"
-                         f"{float(row.f_eps)!r},{float(row.a_dist_hminus1)!r}\n")
+                fh.write(",".join(repr(float(v)) for v in dataclasses.astuple(row)) + "\n")
         except (MaxIterExceeded, BasisTooSmall) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT if isinstance(exc, BasisTooSmall) else EXIT_MAXITER

@@ -115,13 +115,16 @@ class HistoryEntry:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int
+    """A solve's outcome; the CLI's JSON ``result`` is these fields, in this
+    order, without ``history`` and ``density``."""
+
     residual_l2: float
     residual_hminus1: float
     free_energy: float
     dual_value: float
     duality_gap: float
     el_residual: float
+    iterations: int
     history: list = field(default_factory=list)
     density: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -317,13 +320,13 @@ def _solution(state: GibbsState, history):
     rho, eps = DensityOperator(state.potential.basis, state.matrix), state.eps
     f = penalized_free_energy(rho, state.target, eps) if eps > 0.0 else free_energy(rho)
     report = SolveReport(
-        iterations=len(history),
         residual_l2=state.residual_l2,
         residual_hminus1=sobolev_norm(state.residual, -1),
         free_energy=f.total,
         dual_value=state.objective,
         duality_gap=f.total - state.objective,
         el_residual=euler_lagrange_residual(rho, state.potential),
+        iterations=len(history),
         history=history,
         density=state.density,
     )

@@ -58,8 +58,10 @@ ORTHOGONALITY_TOL = 1e-10
 
 
 def _integer_at_least(name, value, least):
-    """``value`` if it is an integer >= least, else a ValueError naming it."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """``value`` if it is an integer >= least, else a ValueError naming it;
+    a bool is not an integer here, though Python counts it as one."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
@@ -252,10 +254,6 @@ class DensityProfile:
         if np.min(v) <= 0.0:
             raise NonPositiveDensity(
                 f"density must be strictly positive; min sample is {np.min(v):.6g}")
-
-    @property
-    def min_value(self) -> float:
-        return float(np.min(self.values))
 
     @property
     def mass(self) -> float:

@@ -47,7 +47,7 @@ def test_density_roundtrip_flat(tmp_path, b4):
     path = tmp_path / "const2.csv"
     write_density(path, np.full(8 * b4.M, 2.0))
     profile = io_cli.parse_density_csv(path, b4)
-    assert profile.min_value == pytest.approx(2.0)
+    assert profile.values.min() == pytest.approx(2.0)
     assert profile.mass == pytest.approx(2.0, abs=1e-14)
 
 
@@ -56,7 +56,7 @@ def test_density_eight_row_file(tmp_path):
     path = tmp_path / "n8.csv"
     write_density(path, np.full(8, 2.0))
     profile = io_cli.parse_density_csv(path, basis)
-    assert profile.min_value == 2.0
+    assert profile.values.min() == 2.0
     assert profile.mass == pytest.approx(2.0)
 
 
@@ -132,15 +132,19 @@ def test_density_file_is_read_on_its_own_grid(tmp_path_factory, case):
 
 
 def test_resample_matches_scipy_reference():
+    # every upsampling case, fewer rows than grid points, on the smallest
+    # cutoff's grids (N >= 4M+1 = 5)
     from scipy.signal import resample  # test-only reference
 
+    bases = {N: qm.build_basis(1, N) for N in range(5, 140)}
     rng = np.random.default_rng(5)
     worst = 0.0
     for rows in range(2, 70):
         values = rng.uniform(-1.0, 1.0, rows)
-        for N in range(2, 140):
-            worst = max(worst, np.max(np.abs(io_cli._resample(values, N)
-                                              - resample(values, N))))
+        for N in range(max(rows + 1, 5), 140):
+            grid, upsampled = io_cli._on_grid(values, bases[N])
+            assert grid is bases[N]
+            worst = max(worst, np.max(np.abs(upsampled - resample(values, N))))
     assert worst <= 1e-14
 
 
@@ -225,7 +229,7 @@ def test_density_that_resamples_below_zero_is_rejected(tmp_path, b4):
     # small floor rings below zero between them on the 32-point grid
     values = np.full(17, 1e-3)
     values[8] = 1.0
-    assert np.min(io_cli._resample(values, b4.N)) < 0.0
+    assert np.min(io_cli._on_grid(values, b4)[1]) < 0.0
     path = tmp_path / "spike.csv"
     write_density(path, values)
     with pytest.raises(NonPositiveDensity, match="after resampling"):
@@ -328,6 +332,24 @@ def test_potential_file_matches_expression(tmp_path, b4):
     A_file = io_cli.parse_potential(str(path), b4)
     A_expr = io_cli.potential_from_expression("0.4*cos(2*pi*x)", b4)
     assert_allclose(A_file.coefficients, A_expr.coefficients, atol=1e-13)
+
+
+def test_finer_potential_file_keeps_its_grid(tmp_path, b4):
+    # 4N rows with a term at wavenumber 20, above the cutoff and above the
+    # basis grid's Nyquist wavenumber 16: projected on the file's own grid,
+    # the out-of-basis term leaves the in-basis coefficients alone
+    x = np.arange(4 * b4.N) / (4 * b4.N)
+    a = (0.5 + 0.4 * np.cos(2 * np.pi * x) - 0.3 * np.sin(6 * np.pi * x)
+         + 0.2 * np.cos(40 * np.pi * x))
+    path = tmp_path / "fine.csv"
+    with open(path, "w") as fh:
+        fh.write("x,a\n")
+        for xi, ai in zip(x, a):
+            fh.write(f"{float(xi)!r},{float(ai)!r}\n")
+    A_file = io_cli.parse_potential(str(path), b4)
+    A_expr = io_cli.potential_from_expression("0.5+0.4*cos(2*pi*x)-0.3*sin(2*pi*3*x)", b4)
+    assert A_file.basis == b4
+    assert_allclose(A_file.coefficients, A_expr.coefficients, rtol=0, atol=1e-13)
 
 
 def test_potential_file_needs_two_rows(tmp_path, b4):

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from helpers import basis_derivatives, hessian_matrix, random_potential
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmaxwell as qm
 from qmaxwell import maxwellian_solver
@@ -594,6 +596,37 @@ def test_full_step_taken_when_gain_is_below_rounding(c0, a, b):
     A, _, report = qm.solve_maxwellian(n)
     assert report.residual_l2 <= 1e-9
     assert np.max(np.abs(A.coefficients - coeffs)) <= 1e-6
+
+
+@st.composite
+def smooth_unit_mass_potentials(draw):
+    """A* on M in {4, 8, 16} with 1 to min(M, 6) wavenumbers, max|A* - mean A*|
+    log-uniform in [0.1, 100], and the constant that gives n[A*] unit mass.
+    The class ends at solve-hard-m16's top amplitude; larger ones are
+    ROADMAP item 7's class."""
+    M = draw(st.sampled_from([4, 8, 16]))
+    ks = draw(st.lists(st.integers(1, M), min_size=1, max_size=min(M, 6), unique=True))
+    amplitude = 10.0 ** draw(st.floats(-1.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = qm.build_basis(M)
+    a = np.zeros(basis.D)
+    for k in ks:
+        a[2 * k - 1 : 2 * k + 1] = rng.standard_normal(2)
+    a *= amplitude / np.max(np.abs(basis.synthesize(a)))
+    # n[A + c] = exp(-c) n[A]: c = log Tr exp(-(H + A)) gives unit mass
+    a[0] = np.log(qm.gibbs_from_potential(basis, qm.ChemicalPotential(basis, a)).trace)
+    return qm.ChemicalPotential(basis, a)
+
+
+@given(smooth_unit_mass_potentials())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_solve_recovers_a_forward_generated_potential(A_star):
+    # the contract on forward-generated inputs: n = n[A*] in, A* out
+    basis = A_star.basis
+    n = qm.DensityProfile(basis, qm.density_of(qm.gibbs_from_potential(basis, A_star)))
+    A, _, report = qm.solve_maxwellian(n)
+    assert report.residual_l2 <= 1e-9
+    assert np.max(np.abs(A.on_grid() - A_star.on_grid())) <= 1e-6
 
 
 def test_options_validation():

@@ -11,6 +11,7 @@ from scipy.special import xlogy
 import qmaxwell as qm
 from qmaxwell.errors import NotPositiveSemidefinite
 from qmaxwell.functionals import GibbsState
+from qmaxwell.inequalities import run_inequality_suite
 from qmaxwell.spectral_core import spectral_derivative
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -79,6 +80,31 @@ def test_basis_sizes_must_be_integers(args, message):
 
 def test_basis_accepts_numpy_integers():
     assert qm.build_basis(3, np.int64(13)).grid.size == 13
+    assert qm.build_basis(np.int64(3)).M == 3
+
+
+def _suite_with(**args):
+    basis = qm.build_basis(2)
+    A = qm.ChemicalPotential.constant(basis, 0.0)
+    rho = qm.gibbs_from_potential(basis, A)
+    n = qm.DensityProfile(basis, qm.density_of(rho))
+    args = {"samples": 5, "seed": 1, **args}
+    return run_inequality_suite(A, rho, n, 1e-9, args["samples"], args["seed"])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: qm.build_basis(True), "mode cutoff", id="build_basis-M-True"),
+    pytest.param(lambda: qm.SolverOptions(max_iter=True), "max_iter", id="max_iter-True"),
+    pytest.param(lambda: qm.SolverOptions(max_iter=False), "max_iter", id="max_iter-False"),
+    pytest.param(lambda: _suite_with(samples=True), "samples", id="suite-samples-True"),
+    pytest.param(lambda: _suite_with(seed=False), "seed", id="suite-seed-False"),
+])
+def test_a_bool_is_not_an_integer(call, name):
+    # bool is a numbers.Integral: build_basis(True) built a basis with
+    # M=True, and SolverOptions(max_iter=True) wrote "max_iter": true into
+    # the CLI's report
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d+, got (True|False)$"):
+        call()
 
 
 @pytest.mark.parametrize("M", [1, 3, 8])
@@ -469,7 +495,7 @@ def test_density_profile_requires_positivity(b3):
     with pytest.raises(qm.NonPositiveDensity):
         qm.DensityProfile(b3, np.cos(2 * np.pi * b3.grid))  # touches -1
     profile = qm.DensityProfile(b3, 1.0 + 0.5 * np.cos(2 * np.pi * b3.grid))
-    assert profile.min_value == pytest.approx(0.5)
+    assert profile.values.min() == pytest.approx(0.5)
     assert profile.mass == pytest.approx(1.0)
 
 
