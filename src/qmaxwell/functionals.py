@@ -30,6 +30,7 @@ from .spectral_core import (
     SpectralBasis,
     _check_same_basis,
     _compose,
+    _finite_positive,
     _multiplication_matrix,
     assemble_hamiltonian_plus_potential,
     density_of,
@@ -77,8 +78,7 @@ def free_energy(rho: DensityOperator) -> FunctionalValue:
 def penalized_free_energy(rho: DensityOperator, n: DensityProfile,
                           epsilon: float, eta: float = 0.0) -> FunctionalValue:
     """F with beta_eta entropy plus the penalty (1/2 eps) ||n[rho] - n||_L2^2."""
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    _finite_positive("epsilon", epsilon)
     _check_same_basis(rho.basis, n.basis)
     diff = density_of(rho) - n.values
     with np.errstate(over="ignore"):  # an overflowed penalty reads inf
@@ -221,8 +221,7 @@ def gateaux_entropy_derivative(rho: DensityOperator, omega, eta: float) -> float
     eta must be positive: the unregularized entropy is not differentiable
     at the spectral boundary, so eta <= 0 is a hard error.
     """
-    if not 0.0 < eta < np.inf:
-        raise ValueError(f"eta must be finite and > 0, got {eta!r}")
+    _finite_positive("eta", eta)
     omega = np.asarray(omega, dtype=float)
     if omega.shape != rho.matrix.shape:
         raise ValueError(f"omega shape {omega.shape} differs from rho's {rho.matrix.shape}")

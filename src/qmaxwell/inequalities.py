@@ -22,6 +22,7 @@ from .spectral_core import (
     _check_same_basis,
     _checked_spectra,
     _compose,
+    _finite_positive,
     _integer_at_least,
     _spectral_entropy,
     _xlogx,
@@ -207,6 +208,7 @@ def run_inequality_suite(A, rho, n, tol_l2, samples, seed):
     instance.  ``samples`` is an integer >= 1 and ``seed`` one >= 0.  The
     randomized entries check rho/Tr rho, so a gap does not scale with the mass;
     the blocks run in order, and the first failing block raises."""
+    _finite_positive("tol_l2", tol_l2)
     _integer_at_least("samples", samples, 1)
     _integer_at_least("seed", seed, 0)
     basis = rho.basis

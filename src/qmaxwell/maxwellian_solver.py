@@ -60,6 +60,7 @@ from .spectral_core import (
     DensityOperator,
     DensityProfile,
     SpectralBasis,
+    _finite_positive,
     _grid_spectrum,
     _integer_at_least,
     _xlogx,
@@ -92,8 +93,7 @@ class SolverOptions:
     epsilon_schedule: tuple = DEFAULT_SCHEDULE
 
     def __post_init__(self):
-        if not 0.0 < self.tol_l2 < np.inf:
-            raise ValueError(f"tol_l2 must be finite and > 0, got {self.tol_l2!r}")
+        _finite_positive("tol_l2", self.tol_l2)
         _integer_at_least("max_iter", self.max_iter, 0)
         sched = tuple(float(e) for e in self.epsilon_schedule)
         if not sched:
@@ -363,8 +363,7 @@ def solve_penalized(n: DensityProfile, epsilon: float, *,
     F_eps and its exact Fenchel dual J_eps, which agree at the optimum;
     F_eps with the beta_eta entropy is penalized_free_energy(rho, n, eps, eta).
     """
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    _finite_positive("epsilon", epsilon)
     state, history = _dual_ascent(n, opts or SolverOptions(), epsilon, initial)
     rho, report = _solution(state, history)
     return rho, state.potential, report

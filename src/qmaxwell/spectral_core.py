@@ -7,14 +7,13 @@ kinetic operator H = -d^2/dx^2 with periodic boundary conditions:
 
 for wavenumbers k = 1..M, so the matrix dimension is D = 2M+1 and H is
 diagonal with eigenvalues 0 and 4 pi^2 k^2 (doubly degenerate).  The
-Galerkin matrix of a potential is read from its coefficients, exactly and
-in O(D^2): a multiplication operator is Toeplitz-plus-Hankel in this
-basis.  Integrals of grid functions (densities, projections onto the
-basis, L2 norms) are the trapezoid rule on N uniform points, which is
-exact for trigonometric polynomials of degree < N; a density has degree
-<= 2M, so N >= 4M+1 keeps its square alias-free.  Products of three basis
-functions have degree <= 3M, so the Newton Hessian integrates them
-exactly on its own (3M+1)-point product grid, whatever N is.
+trapezoid rule on N uniform points is exact for trigonometric polynomials
+of degree < N.  Integrals of grid functions (densities, projections onto
+the basis, L2 norms) use the N-point grid: a density has degree <= 2M, so
+N >= 4M+1 keeps its square alias-free.  Every Galerkin integral, the
+matrix of H + A and the Newton Hessian alike, integrates a product of
+three functions of the basis span, of degree <= 3M, and uses the one
+(3M+1)-point product grid, whatever N is.
 
 Operators are real symmetric D x D coefficient matrices; densities are
 grid functions on the N points.  This module assembles H + A; the Gibbs
@@ -134,6 +133,14 @@ def build_basis(M: int, N: int | None = None) -> SpectralBasis:
     return SpectralBasis(M=M, N=N, grid=grid, h_eigenvalues=h_eigenvalues,
                          functions=_eval_functions(M, grid),
                          product_functions=_eval_functions(M, product_grid))
+
+
+def _finite_positive(name, value):
+    """ValueError naming ``value`` unless it is a real number, finite and > 0;
+    a bool is not a number here."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 < value < np.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _check_same_basis(a: SpectralBasis, b: SpectralBasis):
@@ -295,9 +302,10 @@ def assemble_hamiltonian_plus_potential(basis: SpectralBasis,
                                         A: ChemicalPotential) -> np.ndarray:
     """Galerkin matrix K_pq = mu_p delta_pq + integral of A e_p e_q.
 
-    The potential integral is exact and read from A's coefficients in
-    O(D^2), with no quadrature (:func:`_multiplication_matrix`); K is
-    exactly symmetric.
+    The potential integral is the trapezoid rule on the (3M+1)-point
+    product grid, exact since A e_p e_q has degree <= 3M, at a cost of
+    O(D^2 (3M+1)) (:func:`_multiplication_matrix`); K is exactly
+    symmetric, by symmetrization.
     """
     _check_same_basis(basis, A.basis)
     K = _multiplication_matrix(basis, A.coefficients)
@@ -307,56 +315,11 @@ def assemble_hamiltonian_plus_potential(basis: SpectralBasis,
 
 def _multiplication_matrix(basis: SpectralBasis, coefficients) -> np.ndarray:
     """Galerkin matrix G_pq = integral of u e_p e_q of the function u with
-    these basis coefficients: G = s1 * c[I] + s2 * c[J] for c the
-    coefficients padded with one zero (see :func:`_galerkin_gather`)."""
-    I, J, s1, s2 = _galerkin_gather(basis.M)
-    c = np.append(np.asarray(coefficients, dtype=float), 0.0)
-    return s1 * c[I] + s2 * c[J]
-
-
-@functools.cache
-def _galerkin_gather(M: int):
-    """(I, J, s1, s2), read-only and cached per M, that give the Galerkin
-    matrix of a multiplication operator from the zero-padded coefficients c
-    of its function u as G = s1 * c[I] + s2 * c[J].
-
-    A multiplication operator is Toeplitz-plus-Hankel in the cos/sin basis
-    (Boyd, *Chebyshev and Fourier Spectral Methods*, 2nd ed., 2001): with
-    e_p = r_p t_p(2 pi k_p x), t_p cos or sin, r_0 = 1 and r_p = sqrt 2
-    otherwise, 2 t_p t_q is a sum of two trig functions at the wavenumbers
-    d = k_p - k_q (term I) and s = k_p + k_q (term J):
-
-        2 cos cos = cos d + cos s,   2 sin sin = cos d - cos s,
-        2 cos sin = sin s - sin d,   2 sin cos = sin s + sin d.
-
-    The moments of u are integral of u cos(2 pi m x) = c_0 at m = 0 and
-    c_{2|m|-1} / sqrt 2 otherwise, and integral of u sin(2 pi m x) =
-    sign(m) c_{2|m|} / sqrt 2; a moment at m = 0 of sin, or beyond |m| = M,
-    reads the zero pad c_D.  Entries (p, q) and (q, p) read the same
-    coefficients with the same scales up to a sign flip of both factor
-    and moment, so G is exactly symmetric.
-    """
-    D = 2 * M + 1
-    p = np.arange(D)
-    k = (p + 1) // 2
-    sine = (p > 0) & (p % 2 == 0)
-    r = np.where(p == 0, 1.0, np.sqrt(2.0))
-    half = 0.5 * r[:, None] * r[None, :]
-    mixed = sine[:, None] != sine[None, :]  # the moments are of sin
-
-    def moment(m, flip):
-        """(index into c, scale) of the moments at wavenumbers m, times flip."""
-        a = np.abs(m)
-        index = np.where(mixed, 2 * a, np.maximum(2 * a - 1, 0))
-        index[(a > M) | (mixed & (a == 0))] = D
-        scale = np.where(a == 0, 1.0, np.sqrt(0.5)) * np.where(mixed, np.sign(m), 1) * flip
-        return index, half * scale
-
-    I, s1 = moment(k[:, None] - k[None, :], np.where(mixed & ~sine[:, None], -1, 1))
-    J, s2 = moment(k[:, None] + k[None, :], np.where(~mixed & sine[:, None], -1, 1))
-    for a in (I, J, s1, s2):
-        a.setflags(write=False)
-    return I, J, s1, s2
+    these basis coefficients, by the trapezoid rule on the product grid
+    (exact: u e_p e_q has degree <= 3M), symmetrized."""
+    E = basis.product_functions
+    G = (E * (np.asarray(coefficients, dtype=float) @ E)) @ E.T / E.shape[1]
+    return 0.5 * (G + G.T)
 
 
 def density_of(rho: DensityOperator) -> np.ndarray:
@@ -376,8 +339,11 @@ def energy_trace(rho: DensityOperator) -> float:
 
 def trace_norm(op) -> float:
     """J1 norm: sum of absolute eigenvalues of a symmetric matrix, or an
-    array of them for a stack (s, D, D)."""
-    norms = np.sum(np.abs(np.linalg.eigvalsh(np.asarray(op, dtype=float))), axis=-1)
+    array of them for a stack (s, D, D); ValueError unless each matrix is
+    finite and symmetric within SYMMETRY_TOL."""
+    op = np.asarray(op, dtype=float)
+    _check_finite_symmetric(op, "trace_norm operand")
+    norms = np.sum(np.abs(np.linalg.eigvalsh(op)), axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
 

@@ -111,8 +111,9 @@ def test_regularized_entropy_converges_as_eta_vanishes(b4):
 
 
 def test_penalized_rejects_nonpositive_epsilon(b4, profile):
-    with pytest.raises(ValueError):
-        qm.penalized_free_energy(gibbs_zero(b4), profile, 0.0)
+    for epsilon in (0.0, True):  # a bool is not a number here
+        with pytest.raises(ValueError):
+            qm.penalized_free_energy(gibbs_zero(b4), profile, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ def test_gateaux_zero_direction(b4):
 
 def test_gateaux_rejects_eta_zero(b4):
     rho = random_psd(np.random.default_rng(13), b4)
-    for eta in (0.0, -1.0):
+    for eta in (0.0, -1.0, True):
         with pytest.raises(ValueError):
             qm.gateaux_entropy_derivative(rho, np.eye(b4.D), eta)
     # a direction that is not D x D would broadcast against log(rho + eta)

@@ -207,21 +207,24 @@ def test_suite_second_operator_has_the_drawn_spectrum(M, monkeypatch):
 @pytest.mark.parametrize("name, value", [
     ("samples", 0), ("samples", -3), ("samples", 2.5), ("samples", "5"), ("samples", None),
     ("seed", -1), ("seed", 1.5), ("seed", "1"), ("seed", None),
+    ("tol_l2", np.nan), ("tol_l2", -1.0), ("tol_l2", 0.0),
 ])
 def test_suite_rejects_a_bad_sample_count_or_seed(name, value, monkeypatch):
     # 0 used to raise from range(), 2.5 a bare TypeError and 1.5 from
-    # SeedSequence; no block may be checked before the arguments are
+    # SeedSequence, and a bad tol_l2 read as a failed euler_lagrange_residual
+    # entry; no block may be checked before the arguments are
     basis = qm.build_basis(2)
     A = qm.ChemicalPotential.constant(basis, 0.0)
     rho = qm.gibbs_from_potential(basis, A)
     n = qm.DensityProfile(basis, qm.density_of(rho))
     checked = []
     monkeypatch.setattr(inequalities, "_check_block", lambda *a: checked.append(a))
-    args = {"samples": 5, "seed": 1, name: value}
+    args = {"tol_l2": qm.SolverOptions().tol_l2, "samples": 5, "seed": 1, name: value}
+    expected = "finite and > 0" if name == "tol_l2" else "an integer >= "
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
-            inequalities.run_inequality_suite(A, rho, n, qm.SolverOptions().tol_l2,
+        with pytest.raises(ValueError, match=rf"^{name} must be {expected}"):
+            inequalities.run_inequality_suite(A, rho, n, args["tol_l2"],
                                               args["samples"], args["seed"])
     assert checked == []
 

@@ -630,7 +630,8 @@ def test_solve_recovers_a_forward_generated_potential(A_star):
 
 
 def test_options_validation():
-    for tol in (0.0, np.nan, np.inf, -np.inf):
+    # a bool is not a tolerance: True solved and was written as "tol_l2": true
+    for tol in (0.0, np.nan, np.inf, -np.inf, True, False):
         with pytest.raises(ValueError, match="tol_l2 must be finite and > 0"):
             qm.SolverOptions(tol_l2=tol)
     with pytest.raises(ValueError):
@@ -763,8 +764,9 @@ def test_penalized_max_iter_report_is_penalized(b4):
 
 def test_penalized_rejects_bad_epsilon(b4):
     _, n = forward(b4, lambda x: 0.1 * np.cos(2 * np.pi * x))
-    with pytest.raises(ValueError):
-        qm.solve_penalized(n, 0.0)
+    for epsilon in (0.0, True):  # a bool is not a number here
+        with pytest.raises(ValueError):
+            qm.solve_penalized(n, epsilon)
 
 
 def test_penalized_takes_no_positional_options(b4):

@@ -150,7 +150,7 @@ def test_assemble_cosine_entry():
 
 def _quadrature_assembly(basis, A):
     """The N-point trapezoid Galerkin matrix, exact since A e_p e_q has
-    degree <= 4M < N: the reference for the assembly from coefficients."""
+    degree <= 3M < N: the reference for the product-grid assembly."""
     E = basis.functions
     G = (E * A.on_grid()) @ E.T / basis.N
     K = 0.5 * (G + G.T)
@@ -160,14 +160,18 @@ def _quadrature_assembly(basis, A):
 
 @pytest.mark.parametrize("M", [1, 2, 8, 20, 64])
 def test_assemble_matches_quadrature_and_is_exactly_symmetric(M):
-    # on a power-of-two grid and on the odd N = 4M+1; every coefficient nonzero
+    # on a power-of-two grid and on the odd N = 4M+1; every coefficient
+    # nonzero, at unit size and scaled to max|A - mean A| = 600
     rng = np.random.default_rng(M)
     for basis in (qm.build_basis(M), qm.build_basis(M, 4 * M + 1)):
-        A = qm.ChemicalPotential(basis, rng.normal(0, 1, basis.D))
-        K = qm.assemble_hamiltonian_plus_potential(basis, A)
-        assert np.max(np.abs(K - _quadrature_assembly(basis, A))) <= (
-            1e-14 * (1.0 + np.max(np.abs(K))))
-        assert np.array_equal(K, K.T)
+        c = rng.normal(0, 1, basis.D)
+        wide = 600.0 * c / np.max(np.abs(basis.synthesize(c) - c[0]))
+        for coefficients in (c, wide):
+            A = qm.ChemicalPotential(basis, coefficients)
+            K = qm.assemble_hamiltonian_plus_potential(basis, A)
+            assert np.max(np.abs(K - _quadrature_assembly(basis, A))) <= (
+                1e-14 * (1.0 + np.max(np.abs(K))))
+            assert np.array_equal(K, K.T)
 
 
 def test_assemble_rejects_mismatched_basis(b3):
@@ -333,6 +337,19 @@ def test_norms_rank_one_and_signed(b3):
     assert qm.trace_norm(p0) == pytest.approx(1.0)
     signed = np.diag([1.0, -1.0] + [0.0] * (b3.D - 2))
     assert qm.trace_norm(signed) == pytest.approx(2.0)
+
+
+def test_trace_norm_rejects_asymmetric_or_non_finite_input(b3):
+    # eigvalsh read the lower triangle alone: [[1, 2], [0, 1]] gave 2.0,
+    # where the J1 norm is 2 sqrt 2
+    with pytest.raises(ValueError, match="not symmetric"):
+        qm.trace_norm([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        qm.trace_norm(np.diag([1.0, np.nan]))
+    stack = np.stack([np.eye(b3.D), np.eye(b3.D)])
+    stack[1, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        qm.trace_norm(stack)
 
 
 def test_trace_norm_dominates_hs(b3):
